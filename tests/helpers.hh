@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "common/random.hh"
 #include "core/machine.hh"
 #include "isa/instruction.hh"
 #include "obs/trace.hh"
@@ -30,6 +31,22 @@ loadRaw(Machine &m, const std::vector<Instruction> &insts,
     }
     if (appendHalt)
         m.memory().pokeWord(addr, Instruction::jmpr(Cond::Alw, 0).encode());
+    m.reset(kOrg);
+}
+
+/**
+ * Load 8..47 fully random words at kOrg and reset @p m to them: the
+ * hostile instruction stream the random-word fuzz tests execute.
+ */
+inline void
+loadRandomWords(Machine &m, Rng &rng)
+{
+    const std::size_t n = 8 + rng.below(40);
+    std::uint32_t addr = kOrg;
+    for (std::size_t i = 0; i < n; ++i) {
+        m.memory().pokeWord(addr, static_cast<std::uint32_t>(rng.next()));
+        addr += 4;
+    }
     m.reset(kOrg);
 }
 

@@ -281,16 +281,9 @@ TEST_P(FuzzExec, RandomWordsFaultIdentically)
         SCOPED_TRACE(::testing::Message() << "seed=" << GetParam()
                                           << " round=" << round);
         Machine slow, fast;
-        const std::size_t n = 8 + rng.below(40);
-        std::uint32_t addr = test::kOrg;
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto word = static_cast<std::uint32_t>(rng.next());
-            slow.memory().pokeWord(addr, word);
-            fast.memory().pokeWord(addr, word);
-            addr += 4;
-        }
-        slow.reset(test::kOrg);
-        fast.reset(test::kOrg);
+        Rng twin = rng;
+        test::loadRandomWords(slow, rng);
+        test::loadRandomWords(fast, twin);
 
         const Drive ds = driveSlow(slow, 500);
         const Drive df = driveFast(fast, 500);
