@@ -1,7 +1,7 @@
 /**
- * D1 — dispatch-loop microbenchmark (google-benchmark): the per-step
- * reference interpreter (Machine::step) vs the predecoded fast path
- * (Machine::runFast) on the loop-heavy workloads, where instruction
+ * D1 — dispatch-loop microbenchmark (google-benchmark): the uncached
+ * tier (Machine::step, which decodes every instruction) vs the decode
+ * cache (Machine::runFast) on the loop-heavy workloads, where instruction
  * delivery — not window traffic — dominates.  The paper's thesis is
  * that one short simple cycle per instruction wins; the simulator's own
  * dispatch loop should embody that (ROADMAP north star: "makes a hot

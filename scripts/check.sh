@@ -9,9 +9,10 @@
 #                  trailing sanitizer pass (what CI's asan job runs)
 #   --no-sanitize  normal build only, no trailing sanitizer pass
 #
-# ctest runs in labeled stages (see docs/TESTING.md) so a failure names
-# the ring that broke: unit -> property -> differential -> target ->
-# vax -> obs -> mem -> server -> lang -> golden -> bench.
+# It prints the src/ line count, then runs ctest in labeled stages (see
+# docs/TESTING.md) so a failure names the ring that broke: unit ->
+# property -> differential -> target -> vax -> obs -> mem -> server ->
+# lang -> golden -> bench.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -31,6 +32,18 @@ CMAKE_FLAGS=""
 # shellcheck disable=SC2086  # CMAKE_FLAGS is intentionally word-split
 cmake -B "$BUILD" -S . $CMAKE_FLAGS
 cmake --build "$BUILD" -j
+
+# Net source size (ROADMAP "Quality of design"): the total line count
+# of src/**/*.{cc,hh}, which each change reports as parent -> change.
+# Under GitHub Actions it is also written to the job summary.
+echo
+echo "== src line count =="
+SRC_LINES=$(find src -type f \( -name '*.cc' -o -name '*.hh' \) \
+    -exec cat {} + | wc -l)
+echo "src lines (src/**/*.{cc,hh}): $SRC_LINES"
+if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
+    echo "src lines (src/**/*.{cc,hh}): $SRC_LINES" >> "$GITHUB_STEP_SUMMARY"
+fi
 
 run_stages() {
     dir="$1"

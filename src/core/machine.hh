@@ -41,7 +41,7 @@
 #include "core/stats.hh"
 #include "isa/instruction.hh"
 #include "mem/hierarchy.hh"
-#include "memory/cache.hh"
+#include "mem/level.hh"
 #include "memory/memory.hh"
 #include "target/decode_cache.hh"
 
@@ -85,13 +85,13 @@ struct MachineConfig
      * (the RISC II-era extension).  When both are set, mem.l1i wins.
      * Disabled by default — RISC I had no cache.
      */
-    std::optional<CacheConfig> icache;
+    std::optional<mem::LevelConfig> icache;
     /**
      * Legacy flat data-cache config: shorthand for mem.l1d, consulted
      * on program loads/stores (window spill/fill traffic bypasses the
      * hierarchy, as trap microcode would).  Disabled by default.
      */
-    std::optional<CacheConfig> dcache;
+    std::optional<mem::LevelConfig> dcache;
     /**
      * Memory-hierarchy configuration (mem/hierarchy.hh): split L1s
      * over an optional unified L2.  The legacy icache/dcache fields
@@ -182,10 +182,10 @@ struct MachineSnapshot
 class Machine;
 
 /**
- * One predecoded instruction: the fast path's cache entry.  Everything
- * step() derives per iteration — decoded fields, opcode metadata, the
+ * One decoded instruction: the decode record both tiers execute, and
+ * the fast path's cache entry.  Decoded fields, opcode metadata, the
  * operand-counter contributions, delay-slot classification, and the
- * resolved execution handler — is computed once at decode time.
+ * resolved handler are all computed once at decode time.
  */
 struct DecodedInst
 {
@@ -193,8 +193,8 @@ struct DecodedInst
     const OpcodeInfo *info = nullptr;
     /** Resolved handler; nullptr marks an empty cache slot. */
     void (*exec)(Machine &, const DecodedInst &) = nullptr;
-    std::uint8_t regReads = 0;   ///< countOperandRegs read contribution
-    std::uint8_t regWrites = 0;  ///< countOperandRegs write contribution
+    std::uint8_t regReads = 0;   ///< register-operand reads
+    std::uint8_t regWrites = 0;  ///< register-operand writes
     bool nop = false;            ///< isNop(inst)
     bool hasDelaySlot = false;   ///< transfer with architectural slot
 };
@@ -215,7 +215,10 @@ class Machine
     /** Reset processor state (registers, PSW, stats); memory is kept. */
     void reset(std::uint32_t entry = 0);
 
-    /** Execute one instruction. @return false once halted. */
+    /**
+     * Execute one instruction, fetched and decoded afresh (no decode
+     * cache). @return false once halted.
+     */
     bool step();
 
     /**
@@ -229,15 +232,15 @@ class Machine
      * fast path and report how far it got (no runaway throw — callers
      * that need a budget, like the batch engine, check `halted`).
      *
-     * Architecturally bit-for-bit equivalent to calling step() in a
-     * loop: registers, PSW, memory, all RunStats/MemoryStats/cache
-     * counters, interrupt acceptance, and delay-slot behavior are
-     * identical, including across self-modifying code and snapshot
-     * restore (the decode cache keys on Memory's per-line write
-     * generations, so any content change invalidates it).  When a
-     * tracer is installed (setTrace) the engine falls back to step()
-     * so the trace observes every instruction; see docs/SIM.md and
-     * docs/OBSERVABILITY.md.
+     * The only difference from calling step() in a loop is where
+     * the decode record comes from: runFast() serves it from a decode
+     * cache, and both then run the same handler and per-instruction
+     * bookkeeping.  So registers, PSW, memory, all RunStats/
+     * MemoryStats/cache counters, interrupt acceptance, delay-slot
+     * behavior and trace events are identical, including across
+     * self-modifying code and snapshot restore (the decode cache keys
+     * on Memory's per-line write generations, so any content change
+     * invalidates it); see docs/SIM.md.
      */
     RunOutcome runFast(std::uint64_t maxSteps = 200'000'000);
 
@@ -264,10 +267,9 @@ class Machine
     /**
      * Install (or clear, with nullptr) an execution tracer.  While
      * installed, every executed instruction, window trap, and accepted
-     * interrupt is recorded into @p trace (obs/trace.hh); runFast()
-     * falls back to the reference interpreter so the trace observes
-     * every instruction in decode order.  Non-owning — the Trace must
-     * outlive the registration.  No cost when none is installed.
+     * interrupt is recorded into @p trace (obs/trace.hh), on either
+     * tier.  Non-owning — the Trace must outlive the registration.
+     * One branch per instruction when none is installed.
      */
     void setTrace(obs::Trace *trace) { trace_ = trace; }
     obs::Trace *trace() const { return trace_; }
@@ -294,15 +296,15 @@ class Machine
     }
 
     /** L1I statistics (zeroes when no instruction cache is fitted). */
-    CacheStats icacheStats() const
+    mem::LevelStats icacheStats() const
     {
-        return memHierarchyStats().l1i.value_or(CacheStats{});
+        return memHierarchyStats().l1i.value_or(mem::LevelStats{});
     }
 
     /** L1D statistics (zeroes when no data cache is fitted). */
-    CacheStats dcacheStats() const
+    mem::LevelStats dcacheStats() const
     {
-        return memHierarchyStats().l1d.value_or(CacheStats{});
+        return memHierarchyStats().l1d.value_or(mem::LevelStats{});
     }
 
     /**
@@ -324,13 +326,7 @@ class Machine
     void restore(const MachineSnapshot &snap);
 
   private:
-    friend struct FastOps;   ///< fast-path opcode handlers (machine.cc)
-
-    struct AluResult
-    {
-        std::uint32_t value;
-        CondCodes cc;
-    };
+    friend struct OpHandlers;  ///< the opcode handler table (machine.cc)
 
     /** Decode-cache payload: one word-aligned code address. */
     struct PredecodePayload
@@ -347,19 +343,21 @@ class Machine
      *  for the shared generation-validation machinery). */
     using PredecodeCache = target::DecodeCache<PredecodePayload, 2>;
 
-    AluResult executeAlu(const Instruction &inst, std::uint32_t a,
-                         std::uint32_t b) const;
-    std::uint32_t readS2(const Instruction &inst);
-    void execute(const Instruction &inst);
     void doCall(std::uint32_t target, unsigned rd, bool isInterrupt);
     void doReturn(std::uint32_t target, bool isInterrupt);
     void spillOldestFrame();
     void fillCurrentFrame();
     void transferTo(std::uint32_t target, bool haltOnSelf = false);
-    void countOperandRegs(const Instruction &inst);
     void maybeAcceptInterrupt();
-    /** Build a cache entry from a fetched instruction word. */
+    /** Decode a fetched instruction word (throws the decoder's fault). */
     static DecodedInst predecodeWord(std::uint32_t word);
+    /**
+     * Execute @p d, the instruction at pc_, once fetched: the
+     * per-instruction bookkeeping (trace hook, counters), its handler,
+     * and the pc/npc/delay-slot advance — shared by both tiers and
+     * inlined into each.
+     */
+    void issue(const DecodedInst &d);
 
     MachineConfig config_;
     Memory mem_;

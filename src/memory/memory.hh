@@ -154,10 +154,10 @@ class Memory
     /** Variable-length fetch for the CISC machine (1 byte). */
     std::uint8_t fetchByte(std::uint32_t addr);
     /**
-     * Account one instruction fetch without touching memory.  The
-     * predecoded fast path uses this when it serves an instruction from
-     * its decode cache, so MemoryStats stay bit-identical to the
-     * fetch-every-step reference interpreter.
+     * Account one instruction fetch without touching memory: for an
+     * instruction served from a decode cache, and for the VAX, whose
+     * decoder reads the stream with uncounted peeks.  MemoryStats
+     * count every instruction fetch either way.
      */
     void countFetch() { ++stats_.fetches; }
 

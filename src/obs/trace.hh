@@ -12,12 +12,11 @@
  * which is what the engine's postmortem report renders after a fault
  * (see postmortem.hh).
  *
- * Cost model: tracing is always compiled in, but a machine with no
- * Trace installed pays exactly one pointer test per step on the
- * reference interpreter and a single test per run on the fast path —
+ * Cost model: tracing is always compiled in as one pointer test per
+ * instruction in each backend's shared per-instruction code, so a
+ * machine with no Trace installed pays that test on either tier —
  * `bench/bench_dispatch` guards the fast path's steps/sec.  With a
- * Trace installed the fast path falls back to the reference
- * interpreter so the trace observes every instruction in decode order
+ * Trace installed both tiers record every instruction in decode order
  * (see docs/OBSERVABILITY.md).
  *
  * Sinks are non-owning: the caller keeps the sink (and any stream it

@@ -51,11 +51,10 @@ struct SimJob
     std::uint64_t maxSteps = 200'000'000;
 
     /**
-     * Execute through the backend's predecoded fast path instead of
-     * the per-step reference interpreter.  On by default — the two
-     * paths are bit-for-bit equivalent (tests/test_fast_path.cc,
-     * tests/test_vax_fast_path.cc) — but sweep authors can clear it to
-     * cross-check a suspicious run on the reference interpreter.
+     * Execute through the backend's decode cache instead of decoding
+     * every step.  On by default — both tiers run the same decode and
+     * execute code (docs/SIM.md) — but sweep authors can clear it to
+     * cross-check a suspicious run against the uncached tier.
      */
     bool fast = true;
 

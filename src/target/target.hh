@@ -161,12 +161,11 @@ class Target
     virtual bool step() = 0;
 
     /**
-     * Run until halt or @p maxSteps instructions, through the
-     * backend's predecoded fast path when @p fast is set and through
-     * the per-step reference interpreter otherwise (the two are
-     * bit-for-bit equivalent; the slow path exists as a cross-check).
-     * Never throws on exhausting the budget — callers inspect
-     * RunOutcome::halted.
+     * Run until halt or @p maxSteps instructions, serving decode
+     * records from the backend's decode cache when @p fast is set and
+     * decoding every step otherwise.  Both tiers execute the records
+     * with the same code, so they differ only in speed.  Never throws
+     * on exhausting the budget — callers inspect RunOutcome::halted.
      */
     virtual RunOutcome run(std::uint64_t maxSteps, bool fast) = 0;
 
@@ -175,10 +174,9 @@ class Target
     /**
      * Install (or clear, with nullptr) an execution tracer
      * (obs/trace.hh): every executed instruction — plus backend
-     * events like window traps — is recorded into @p trace, and
-     * run(fast=true) falls back to the reference interpreter so the
-     * trace observes every instruction.  Non-owning; the Trace must
-     * outlive the registration.  Zero overhead when none is installed.
+     * events like window traps — is recorded into @p trace, on either
+     * tier.  Non-owning; the Trace must outlive the registration.  One
+     * pointer test per instruction when none is installed.
      */
     virtual void setTrace(obs::Trace *trace) = 0;
 

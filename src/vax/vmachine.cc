@@ -84,142 +84,6 @@ VaxMachine::setReg(unsigned r, std::uint32_t value)
     regs_[r] = value;
 }
 
-std::uint8_t
-VaxMachine::fetchByte()
-{
-    const std::uint8_t b = mem_.fetchByte(regs_[vaxPc]);
-    regs_[vaxPc] += 1;
-    ++stats_.instrBytes;
-    return b;
-}
-
-std::uint16_t
-VaxMachine::fetchHalf()
-{
-    const std::uint16_t lo = fetchByte();
-    const std::uint16_t hi = fetchByte();
-    return static_cast<std::uint16_t>(lo | (hi << 8));
-}
-
-std::uint32_t
-VaxMachine::fetchLong()
-{
-    const std::uint32_t lo = fetchHalf();
-    const std::uint32_t hi = fetchHalf();
-    return lo | (hi << 16);
-}
-
-VaxMachine::Ref
-VaxMachine::decodeSpecifier(Width width)
-{
-    const unsigned step =
-        width == Width::Byte ? 1 : width == Width::Half ? 2 : 4;
-    const std::uint8_t spec = fetchByte();
-    const auto modeNibble = static_cast<std::uint8_t>(spec >> 4);
-    const unsigned rn = spec & 0x0f;
-    Ref ref;
-
-    if (modeNibble <= 3) {
-        // Short literal 0..63.
-        ref.kind = Ref::Kind::Literal;
-        ref.value = spec & 0x3f;
-        return ref;
-    }
-
-    const auto mode = static_cast<VaxMode>(modeNibble);
-    stats_.cycles += vaxSpecCycles(mode);
-
-    switch (mode) {
-      case VaxMode::Register:
-        ref.kind = Ref::Kind::Reg;
-        ref.reg = rn;
-        return ref;
-      case VaxMode::Deferred:
-        ref.kind = Ref::Kind::Mem;
-        ref.reg = rn;
-        ref.addr = regs_[rn];
-        ++stats_.regOperandReads;
-        return ref;
-      case VaxMode::AutoDec:
-        regs_[rn] -= step;
-        ref.kind = Ref::Kind::Mem;
-        ref.addr = regs_[rn];
-        ++stats_.regOperandReads;
-        ++stats_.regOperandWrites;
-        return ref;
-      case VaxMode::AutoInc:
-        if (rn == vaxPc) {
-            // Immediate: a 4-byte literal in the instruction stream.
-            ref.kind = Ref::Kind::Literal;
-            ref.value = fetchLong();
-            return ref;
-        }
-        ref.kind = Ref::Kind::Mem;
-        ref.addr = regs_[rn];
-        regs_[rn] += step;
-        ++stats_.regOperandReads;
-        ++stats_.regOperandWrites;
-        return ref;
-      case VaxMode::AutoIncDef:
-        if (rn == vaxPc) {
-            // Absolute: 4-byte address in the instruction stream.
-            ref.kind = Ref::Kind::Mem;
-            ref.addr = fetchLong();
-            return ref;
-        }
-        fatal("autoincrement-deferred supported only as absolute (@)");
-      case VaxMode::DispByte: {
-        const auto disp = sext(fetchByte(), 8);
-        ref.kind = Ref::Kind::Mem;
-        ref.addr = regs_[rn] + static_cast<std::uint32_t>(disp);
-        ++stats_.regOperandReads;
-        return ref;
-      }
-      case VaxMode::DispWord: {
-        const auto disp = sext(fetchHalf(), 16);
-        ref.kind = Ref::Kind::Mem;
-        ref.addr = regs_[rn] + static_cast<std::uint32_t>(disp);
-        ++stats_.regOperandReads;
-        return ref;
-      }
-      case VaxMode::DispLong: {
-        const std::uint32_t disp = fetchLong();
-        ref.kind = Ref::Kind::Mem;
-        ref.addr = regs_[rn] + disp;
-        ++stats_.regOperandReads;
-        return ref;
-      }
-      default:
-        fatal(cat("illegal addressing mode nibble 0x", std::hex,
-                  static_cast<int>(modeNibble)));
-    }
-}
-
-VaxMachine::Ref
-VaxMachine::decodeOperand(VaxOpndUse use)
-{
-    if (use == VaxOpndUse::Branch8) {
-        Ref ref;
-        ref.kind = Ref::Kind::Branch;
-        const auto disp = sext(fetchByte(), 8);
-        ref.value = regs_[vaxPc] + static_cast<std::uint32_t>(disp);
-        return ref;
-    }
-    if (use == VaxOpndUse::Branch16) {
-        Ref ref;
-        ref.kind = Ref::Kind::Branch;
-        const auto disp = sext(fetchHalf(), 16);
-        ref.value = regs_[vaxPc] + static_cast<std::uint32_t>(disp);
-        return ref;
-    }
-    Width width = Width::Long;
-    if (use == VaxOpndUse::ReadByte || use == VaxOpndUse::WriteByte)
-        width = Width::Byte;
-    else if (use == VaxOpndUse::ReadHalf || use == VaxOpndUse::WriteHalf)
-        width = Width::Half;
-    return decodeSpecifier(width);
-}
-
 std::uint32_t
 VaxMachine::readRef(const Ref &ref, Width width)
 {
@@ -512,10 +376,16 @@ VaxMachine::execute(const VaxOpInfo &info, Ref *ops)
             static_cast<std::int32_t>(readRef(ops[1], Width::Long));
         if (divisor == 0)
             fatal("integer divide by zero");
-        const auto r = static_cast<std::uint32_t>(dividend / divisor);
+        // The one overflowing quotient, INT32_MIN / -1: the result is
+        // the low 32 bits of the true quotient (INT32_MIN), with V set.
+        const bool overflow = dividend == INT32_MIN && divisor == -1;
+        const auto r = overflow
+                           ? static_cast<std::uint32_t>(dividend)
+                           : static_cast<std::uint32_t>(dividend / divisor);
         writeRef(info.op == VaxOpcode::Divl2 ? ops[1] : ops[2], r,
                  Width::Long);
         setNZ(r);
+        cc_.v = overflow;
         break;
       }
       case VaxOpcode::Incl: {
@@ -561,7 +431,9 @@ VaxMachine::execute(const VaxOpInfo &info, Ref *ops)
         if (cnt >= 0)
             r = cnt >= 32 ? 0 : src << cnt;
         else {
-            const int sh = std::min(-cnt, 31);
+            // Counts <= -31 shift by 31; clamping before negating keeps
+            // INT32_MIN from overflowing.
+            const int sh = cnt <= -31 ? 31 : -cnt;
             r = static_cast<std::uint32_t>(
                 static_cast<std::int32_t>(src) >> sh);
         }
@@ -699,46 +571,6 @@ VaxMachine::execute(const VaxOpInfo &info, Ref *ops)
     }
 }
 
-bool
-VaxMachine::step()
-{
-    if (halted_)
-        return false;
-
-    const std::uint32_t ipc = regs_[vaxPc];
-
-    // One instruction-cache consultation per instruction, at its
-    // start address, before any fetch fault — the fast path mirrors
-    // this at the same point (and delegates here for refStep and
-    // out-of-range PCs), keeping the two paths lockstep-equivalent.
-    if (hier_)
-        stats_.cycles += hier_->fetch(ipc);
-
-    const auto opByte = static_cast<VaxOpcode>(fetchByte());
-    const VaxOpInfo *info = vaxOpcodeInfo(opByte);
-    if (!info)
-        fatal(cat("illegal opcode byte 0x", std::hex,
-                  static_cast<int>(opByte), " at pc 0x",
-                  regs_[vaxPc] - 1));
-
-    // Recorded before execution, so a faulting instruction is the last
-    // event in the ring when its fault unwinds (obs/postmortem.hh).
-    if (trace_)
-        trace_->record({obs::EventKind::Instruction, stats_.instructions,
-                        stats_.cycles, ipc, std::string(info->mnemonic)});
-
-    ++stats_.instructions;
-    ++stats_.perClass[static_cast<std::size_t>(info->cls)];
-    stats_.cycles += info->baseCycles;
-
-    Ref ops[vaxMaxOperands];
-    for (unsigned i = 0; i < info->numOperands; ++i)
-        ops[i] = decodeOperand(info->operands[i]);
-
-    execute(*info, ops);
-    return !halted_;
-}
-
 void
 VaxMachine::run(std::uint64_t maxSteps)
 {
@@ -752,280 +584,307 @@ VaxMachine::run(std::uint64_t maxSteps)
                   " steps"));
 }
 
-void
-VaxMachine::predecodeAt(std::uint32_t addr, PredecodePayload &out) const
+VaxMachine::PredecodePayload
+VaxMachine::predecodeAt(std::uint32_t addr) const
 {
-    out = PredecodePayload{};
+    PredecodePayload out;
+    using Kind = PredecodedSpec::Kind;
 
-    // Walk the encoding with uncounted peeks, guarding every byte:
-    // anything the reference decoder would fault on — stream past
-    // memory end, illegal opcode, illegal mode — is left to step(),
-    // which raises the exact fault from the exact partial state.
-    std::uint32_t cur = addr;
-    const auto bail = [&out] { out.refStep = true; };
-    const auto canPeek = [&](unsigned n) {
-        return static_cast<std::uint64_t>(cur) + n <= mem_.size();
-    };
-    const auto peek = [&] { return mem_.peekByte(cur++); };
-    const auto peekLong = [&] {
-        const std::uint32_t lo = peek(), b1 = peek(), b2 = peek(),
-                            hi = peek();
-        return lo | (b1 << 8) | (b2 << 16) | (hi << 24);
+    // The stream cursor: the PC an executing machine would hold, left
+    // in out.next when the decode ends.  Each byte read is one
+    // instruction-stream fetch; reading past the end of memory stops
+    // the decode with a fetch fault at the cursor.
+    std::uint32_t &cur = out.next;
+    cur = addr;
+    const auto fetch = [&](unsigned n, std::uint32_t &value) {
+        value = 0;
+        for (unsigned i = 0; i < n; ++i) {
+            if (cur >= mem_.size()) {
+                out.fault = DecodeFault::Fetch;
+                return false;
+            }
+            const std::uint8_t b = mem_.peekByte(cur++);
+            out.raw[out.len++] = b;
+            value |= static_cast<std::uint32_t>(b) << (8 * i);
+        }
+        return true;
     };
 
-    if (!canPeek(1))
-        return bail();
-    const auto opByte = static_cast<VaxOpcode>(peek());
-    out.info = vaxOpcodeInfo(opByte);
-    if (!out.info)
-        return bail();
+    std::uint32_t opByte = 0;
+    if (!fetch(1, opByte))
+        return out;
+    out.info = vaxOpcodeInfo(static_cast<VaxOpcode>(opByte));
+    if (!out.info) {
+        out.fault = DecodeFault::Opcode;
+        return out;
+    }
 
     for (unsigned i = 0; i < out.info->numOperands; ++i) {
+        // Stays Kind::Fault until the specifier decodes completely.
         PredecodedSpec &spec = out.specs[i];
         const VaxOpndUse use = out.info->operands[i];
 
         if (use == VaxOpndUse::Branch8 || use == VaxOpndUse::Branch16) {
             const unsigned n = use == VaxOpndUse::Branch8 ? 1 : 2;
-            if (!canPeek(n))
-                return bail();
-            std::uint32_t raw = peek();
-            if (n == 2)
-                raw |= static_cast<std::uint32_t>(peek()) << 8;
-            spec.kind = PredecodedSpec::Kind::Branch;
-            // The reference decoder resolves the target against the
-            // PC after the displacement bytes — a static quantity.
-            spec.value = cur + static_cast<std::uint32_t>(
-                                   sext(raw, n == 1 ? 8 : 16));
+            std::uint32_t disp = 0;
+            if (!fetch(n, disp))
+                return out;
+            // Relative to the PC after the displacement bytes.
+            spec.kind = Kind::Branch;
+            spec.value = cur + static_cast<std::uint32_t>(sext(disp, 8 * n));
             continue;
         }
 
-        Width width = Width::Long;
-        if (use == VaxOpndUse::ReadByte || use == VaxOpndUse::WriteByte)
-            width = Width::Byte;
-        else if (use == VaxOpndUse::ReadHalf ||
-                 use == VaxOpndUse::WriteHalf)
-            width = Width::Half;
         const unsigned step =
-            width == Width::Byte ? 1 : width == Width::Half ? 2 : 4;
+            use == VaxOpndUse::ReadByte || use == VaxOpndUse::WriteByte ? 1
+            : use == VaxOpndUse::ReadHalf || use == VaxOpndUse::WriteHalf
+                ? 2
+                : 4;
 
-        if (!canPeek(1))
-            return bail();
-        const std::uint8_t specByte = peek();
+        std::uint32_t specByte = 0;
+        if (!fetch(1, specByte))
+            return out;
         const auto modeNibble = static_cast<std::uint8_t>(specByte >> 4);
         const auto rn = static_cast<std::uint8_t>(specByte & 0x0f);
+        const bool pcBased = rn == vaxPc;
 
         if (modeNibble <= 3) {
-            spec.kind = PredecodedSpec::Kind::ShortLiteral;
+            spec.kind = Kind::Literal;
             spec.value = specByte & 0x3f;
             continue;
         }
 
+        // The kind and extension-byte count each legal mode decodes to.
         const auto mode = static_cast<VaxMode>(modeNibble);
-        spec.rn = rn;
-        spec.step = static_cast<std::uint8_t>(step);
-
+        Kind kind = Kind::Fault;
+        unsigned ext = 0;
         switch (mode) {
           case VaxMode::Register:
-            // Rn = PC is fine: the reference reads/writes the register
-            // file at execute time, after the PC has advanced past the
-            // whole instruction — which the replay also guarantees.
-            spec.kind = PredecodedSpec::Kind::Register;
+            // Rn = PC reads the PC at execute time, once the PC has
+            // advanced past the whole instruction.
+            kind = Kind::Register;
             break;
           case VaxMode::Deferred:
-            if (rn == vaxPc)
-                return bail();  // EA depends on mid-stream PC
-            spec.kind = PredecodedSpec::Kind::Deferred;
+            kind = Kind::Disp;
             break;
           case VaxMode::AutoDec:
-            if (rn == vaxPc)
-                return bail();  // mutates the PC mid-stream
-            spec.kind = PredecodedSpec::Kind::AutoDec;
+            kind = Kind::AutoDec;
             break;
           case VaxMode::AutoInc:
-            if (rn == vaxPc) {
-                if (!canPeek(4))
-                    return bail();
-                spec.kind = PredecodedSpec::Kind::Immediate;
-                spec.value = peekLong();
-            } else {
-                spec.kind = PredecodedSpec::Kind::AutoInc;
-            }
+            kind = pcBased ? Kind::Literal : Kind::AutoInc;
+            ext = pcBased ? 4 : 0;
             break;
           case VaxMode::AutoIncDef:
-            if (rn != vaxPc)
-                return bail();  // step() faults on @(Rn)+
-            if (!canPeek(4))
-                return bail();
-            spec.kind = PredecodedSpec::Kind::Absolute;
-            spec.value = peekLong();
+            kind = Kind::Absolute;
+            ext = 4;
             break;
           case VaxMode::DispByte:
-          case VaxMode::DispWord:
-          case VaxMode::DispLong: {
-            if (rn == vaxPc)
-                return bail();  // EA depends on mid-stream PC
-            const unsigned n = mode == VaxMode::DispByte ? 1
-                               : mode == VaxMode::DispWord ? 2
-                                                           : 4;
-            if (!canPeek(n))
-                return bail();
-            std::uint32_t raw = peek();
-            if (n >= 2)
-                raw |= static_cast<std::uint32_t>(peek()) << 8;
-            if (n == 4) {
-                raw |= static_cast<std::uint32_t>(peek()) << 16;
-                raw |= static_cast<std::uint32_t>(peek()) << 24;
-            }
-            spec.kind = PredecodedSpec::Kind::Disp;
-            spec.value = n == 4 ? raw
-                                : static_cast<std::uint32_t>(
-                                      sext(raw, n * 8));
+            kind = Kind::Disp;
+            ext = 1;
             break;
-          }
+          case VaxMode::DispWord:
+            kind = Kind::Disp;
+            ext = 2;
+            break;
+          case VaxMode::DispLong:
+            kind = Kind::Disp;
+            ext = 4;
+            break;
           default:
-            return bail();  // illegal mode nibble: step() faults
+            out.fault = DecodeFault::Mode;
+            return out;
         }
-        spec.specCycles =
-            static_cast<std::uint8_t>(vaxSpecCycles(mode));
+        // Charged from the specifier byte on, so a fault below still
+        // pays for it.
+        spec.specCycles = static_cast<std::uint8_t>(vaxSpecCycles(mode));
+        if (mode == VaxMode::AutoIncDef && !pcBased) {
+            out.fault = DecodeFault::AutoIncDef;
+            return out;
+        }
+
+        std::uint32_t value = 0;
+        if (!fetch(ext, value))
+            return out;
+        if (ext == 1 || ext == 2)
+            value = static_cast<std::uint32_t>(sext(value, 8 * ext));
+
+        spec.rn = rn;
+        spec.step = static_cast<std::uint8_t>(step);
+        spec.value = value;
+        if (pcBased && kind == Kind::Disp) {
+            // (PC), disp(PC): the PC is the cursor, a static address.
+            kind = Kind::PcRelative;
+            spec.value = cur + value;
+        } else if (pcBased && kind == Kind::AutoDec) {
+            // -(PC) moves the stream cursor itself.
+            cur -= step;
+            kind = Kind::PcAutoDec;
+            spec.value = cur;
+            out.cacheable = false;
+        }
+        spec.kind = kind;
+    }
+    return out;
+}
+
+void
+VaxMachine::raiseDecodeFault(const PredecodePayload &p)
+{
+    const std::uint8_t last = p.len ? p.raw[p.len - 1] : 0;
+    switch (p.fault) {
+      case DecodeFault::Fetch:
+        (void)mem_.fetchByte(p.next);  // throws the out-of-range fault
+        break;
+      case DecodeFault::Opcode:
+        fatal(cat("illegal opcode byte 0x", std::hex,
+                  static_cast<int>(last), " at pc 0x", p.next - 1));
+      case DecodeFault::Mode:
+        // vaxSpecCycles() rejects the nibble itself, before the fatal.
+        stats_.cycles += vaxSpecCycles(static_cast<VaxMode>(last >> 4));
+        fatal(cat("illegal addressing mode nibble 0x", std::hex,
+                  static_cast<int>(last >> 4)));
+      case DecodeFault::AutoIncDef:
+        fatal("autoincrement-deferred supported only as absolute (@)");
+      case DecodeFault::None:
+        break;
+    }
+    panic("decode fault without a cause");
+}
+
+[[gnu::always_inline]] inline void
+VaxMachine::issue(const PredecodePayload &p)
+{
+    const std::uint32_t pc = regs_[vaxPc];
+
+    // One instruction-cache consultation per instruction, at its
+    // start address, before any fetch fault.
+    if (hier_)
+        stats_.cycles += hier_->fetch(pc);
+
+    // Every stream byte the decode fetched, one counted fetch each.
+    for (unsigned i = 0; i < p.len; ++i)
+        mem_.countFetch();
+    stats_.instrBytes += p.len;
+
+    if (!p.info) {
+        regs_[vaxPc] = p.next;
+        raiseDecodeFault(p);
     }
 
-    out.len = static_cast<std::uint8_t>(cur - addr);
-    for (unsigned i = 0; i < out.len; ++i)
-        out.raw[i] = mem_.peekByte(addr + i);
+    // Recorded before execution, so a faulting instruction is the last
+    // event in the ring when its fault unwinds (obs/postmortem.hh).
+    if (trace_)
+        trace_->record({obs::EventKind::Instruction, stats_.instructions,
+                        stats_.cycles, pc, std::string(p.info->mnemonic)});
+
+    ++stats_.instructions;
+    ++stats_.perClass[static_cast<std::size_t>(p.info->cls)];
+    stats_.cycles += p.info->baseCycles;
+
+    // Specifier side effects in stream order: cycles, operand
+    // counters, and auto-inc/dec register updates.
+    Ref ops[vaxMaxOperands];
+    for (unsigned i = 0; i < p.info->numOperands; ++i) {
+        const PredecodedSpec &spec = p.specs[i];
+        Ref &ref = ops[i];
+        stats_.cycles += spec.specCycles;
+        switch (spec.kind) {
+          case PredecodedSpec::Kind::Literal:
+            ref.kind = Ref::Kind::Literal;
+            ref.value = spec.value;
+            break;
+          case PredecodedSpec::Kind::Register:
+            ref.kind = Ref::Kind::Reg;
+            ref.reg = spec.rn;
+            break;
+          case PredecodedSpec::Kind::PcAutoDec:
+            ++stats_.regOperandWrites;
+            [[fallthrough]];
+          case PredecodedSpec::Kind::PcRelative:
+            ++stats_.regOperandReads;
+            [[fallthrough]];
+          case PredecodedSpec::Kind::Absolute:
+            ref.kind = Ref::Kind::Mem;
+            ref.addr = spec.value;
+            break;
+          case PredecodedSpec::Kind::Disp:
+            ref.kind = Ref::Kind::Mem;
+            ref.addr = regs_[spec.rn] + spec.value;
+            ++stats_.regOperandReads;
+            break;
+          case PredecodedSpec::Kind::AutoDec:
+            regs_[spec.rn] -= spec.step;
+            ref.kind = Ref::Kind::Mem;
+            ref.addr = regs_[spec.rn];
+            ++stats_.regOperandReads;
+            ++stats_.regOperandWrites;
+            break;
+          case PredecodedSpec::Kind::AutoInc:
+            ref.kind = Ref::Kind::Mem;
+            ref.addr = regs_[spec.rn];
+            regs_[spec.rn] += spec.step;
+            ++stats_.regOperandReads;
+            ++stats_.regOperandWrites;
+            break;
+          case PredecodedSpec::Kind::Branch:
+            ref.kind = Ref::Kind::Branch;
+            ref.value = spec.value;
+            break;
+          case PredecodedSpec::Kind::Fault:
+            regs_[vaxPc] = p.next;
+            raiseDecodeFault(p);
+        }
+    }
+
+    // The PC sits past the whole instruction before execution;
+    // branches then overwrite it.
+    regs_[vaxPc] = p.next;
+    execute(*p.info, ops);
+}
+
+bool
+VaxMachine::step()
+{
+    if (halted_)
+        return false;
+    issue(predecodeAt(regs_[vaxPc]));
+    return !halted_;
 }
 
 RunOutcome
 VaxMachine::runFast(std::uint64_t maxSteps)
 {
     RunOutcome outcome;
-
-    // A tracer must observe every instruction in decode order; fall
-    // back to the reference interpreter so trace semantics (and
-    // everything else) are unchanged.
-    if (trace_) {
-        while (!halted_ && outcome.steps < maxSteps) {
-            step();
-            ++outcome.steps;
-        }
-        outcome.halted = halted_;
-        return outcome;
-    }
-
     predecode_.sync(mem_);
 
     while (!halted_ && outcome.steps < maxSteps) {
         const std::uint32_t pc = regs_[vaxPc];
-
-        // A PC outside memory has no cache slot; step() raises the
-        // reference fetch fault (fetchByte counts nothing first).
         if (pc >= mem_.size()) {
-            step();
-            ++outcome.steps;
-            continue;
+            // No cache slot out here; the decode is a fetch fault.
+            issue(predecodeAt(pc));
+            break;
         }
 
         PredecodeCache::Slot &e = predecode_.slot(pc);
-        const PredecodePayload &p = e.payload;
-        bool clean = !e.empty() &&
-                     PredecodeCache::valid(e, mem_, pc, p.len ? p.len : 1);
-        if (!clean) {
+        PredecodePayload &p = e.payload;
+        if (e.empty() || !PredecodeCache::valid(e, mem_, pc, p.len)) {
             // Stale or never filled: re-peek and revalidate.  An
             // unchanged encoding keeps its decode; only genuinely new
             // bytes pay for a fresh predecode.
-            bool same = !e.empty() && p.len != 0 &&
+            bool same = !e.empty() &&
                         static_cast<std::uint64_t>(pc) + p.len <=
                             mem_.size();
-            if (same)
-                for (unsigned i = 0; i < p.len; ++i)
-                    if (e.payload.raw[i] != mem_.peekByte(pc + i)) {
-                        same = false;
-                        break;
-                    }
+            for (unsigned i = 0; same && i < p.len; ++i)
+                same = p.raw[i] == mem_.peekByte(pc + i);
             if (!same)
-                predecodeAt(pc, e.payload);
-            PredecodeCache::revalidate(
-                e, mem_, pc, e.payload.len ? e.payload.len : 1);
+                p = predecodeAt(pc);
+            if (p.cacheable)
+                PredecodeCache::revalidate(e, mem_, pc, p.len);
+            else
+                e.gen = PredecodeCache::staleGen;  // decode every time
         }
 
-        if (p.refStep) {
-            step();
-            ++outcome.steps;
-            continue;
-        }
-
-        // Same per-instruction cache consultation as step(), at the
-        // same point (instruction start, before stream accounting).
-        if (hier_)
-            stats_.cycles += hier_->fetch(pc);
-
-        // Account the instruction stream exactly as the byte-wise
-        // reference fetch loop would.
-        for (unsigned i = 0; i < p.len; ++i)
-            mem_.countFetch();
-        stats_.instrBytes += p.len;
-
-        ++stats_.instructions;
-        ++stats_.perClass[static_cast<std::size_t>(p.info->cls)];
-        stats_.cycles += p.info->baseCycles;
-
-        // Replay the operand specifiers in stream order: specifier
-        // cycles, operand counters, and auto-inc/dec register updates
-        // happen in the same order and amounts as decodeSpecifier().
-        Ref ops[vaxMaxOperands];
-        for (unsigned i = 0; i < p.info->numOperands; ++i) {
-            const PredecodedSpec &spec = p.specs[i];
-            Ref &ref = ops[i];
-            stats_.cycles += spec.specCycles;
-            switch (spec.kind) {
-              case PredecodedSpec::Kind::ShortLiteral:
-              case PredecodedSpec::Kind::Immediate:
-                ref.kind = Ref::Kind::Literal;
-                ref.value = spec.value;
-                break;
-              case PredecodedSpec::Kind::Register:
-                ref.kind = Ref::Kind::Reg;
-                ref.reg = spec.rn;
-                break;
-              case PredecodedSpec::Kind::Deferred:
-                ref.kind = Ref::Kind::Mem;
-                ref.reg = spec.rn;
-                ref.addr = regs_[spec.rn];
-                ++stats_.regOperandReads;
-                break;
-              case PredecodedSpec::Kind::AutoDec:
-                regs_[spec.rn] -= spec.step;
-                ref.kind = Ref::Kind::Mem;
-                ref.addr = regs_[spec.rn];
-                ++stats_.regOperandReads;
-                ++stats_.regOperandWrites;
-                break;
-              case PredecodedSpec::Kind::AutoInc:
-                ref.kind = Ref::Kind::Mem;
-                ref.addr = regs_[spec.rn];
-                regs_[spec.rn] += spec.step;
-                ++stats_.regOperandReads;
-                ++stats_.regOperandWrites;
-                break;
-              case PredecodedSpec::Kind::Absolute:
-                ref.kind = Ref::Kind::Mem;
-                ref.addr = spec.value;
-                break;
-              case PredecodedSpec::Kind::Disp:
-                ref.kind = Ref::Kind::Mem;
-                ref.addr = regs_[spec.rn] + spec.value;
-                ++stats_.regOperandReads;
-                break;
-              case PredecodedSpec::Kind::Branch:
-                ref.kind = Ref::Kind::Branch;
-                ref.value = spec.value;
-                break;
-            }
-        }
-
-        // The reference decoder leaves the PC past the whole
-        // instruction before execution; branches then overwrite it.
-        regs_[vaxPc] = pc + p.len;
-        execute(*p.info, ops);
+        issue(p);
         ++outcome.steps;
     }
     outcome.halted = halted_;

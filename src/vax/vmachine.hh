@@ -152,7 +152,10 @@ class VaxMachine
     void loadProgram(const Program &program);
     void reset(std::uint32_t entry = 0);
 
-    /** Execute one instruction. @return false once halted. */
+    /**
+     * Execute one instruction, decoded afresh (no decode cache).
+     * @return false once halted.
+     */
     bool step();
 
     /** Run to HALT; throws FatalError past @p maxSteps. */
@@ -163,15 +166,14 @@ class VaxMachine
      * fast path and report how far it got (no runaway throw — callers
      * that need a budget, like the batch engine, check `halted`).
      *
-     * Architecturally bit-for-bit equivalent to calling step() in a
-     * loop: registers, condition codes, memory, and every
-     * VaxStats/MemoryStats counter are identical, including across
+     * The only difference from calling step() in a loop is where
+     * the decode record comes from: runFast() serves it from a decode
+     * cache, and both then run the same issue() code.  So registers,
+     * condition codes, memory, every VaxStats/MemoryStats counter,
+     * trace events and decode faults are identical, including across
      * self-modifying code and snapshot restore (the decode cache keys
      * on Memory's per-line write generations — see
-     * target/decode_cache.hh).  Instructions the predecoder cannot
-     * replay exactly (PC-based effective addresses, encodings step()
-     * would fault on) are executed through step() itself, so even
-     * fault behavior matches.
+     * target/decode_cache.hh).
      */
     RunOutcome runFast(std::uint64_t maxSteps = 200'000'000);
 
@@ -209,10 +211,9 @@ class VaxMachine
      * Install (or clear, with nullptr) an execution tracer.  While
      * installed, every executed instruction is recorded into @p trace
      * (obs/trace.hh; pc + mnemonic — the variable-length encoding
-     * makes full operand rendering a disassembler job), and runFast()
-     * falls back to the reference interpreter so the trace observes
-     * every instruction in decode order.  Non-owning — the Trace must
-     * outlive the registration.  No cost when none is installed.
+     * makes full operand rendering a disassembler job), on either
+     * tier.  Non-owning — the Trace must outlive the registration.
+     * One branch per instruction when none is installed.
      */
     void setTrace(obs::Trace *trace) { trace_ = trace; }
     obs::Trace *trace() const { return trace_; }
@@ -228,16 +229,8 @@ class VaxMachine
         std::uint32_t value = 0;  ///< literal value / branch target
     };
 
-    std::uint8_t fetchByte();
-    std::uint16_t fetchHalf();
-    std::uint32_t fetchLong();
-
     enum class Width : std::uint8_t { Byte, Half, Long };
 
-    /** Decode one general operand specifier (width sizes auto modes). */
-    Ref decodeSpecifier(Width width);
-    /** Decode an operand per its declared use. */
-    Ref decodeOperand(VaxOpndUse use);
     std::uint32_t readRef(const Ref &ref, Width width);
     void writeRef(const Ref &ref, std::uint32_t value, Width width);
 
@@ -253,52 +246,69 @@ class VaxMachine
     static constexpr unsigned maxInstrBytes = 1 + vaxMaxOperands * 5;
 
     /**
-     * One predecoded operand specifier.  Everything static about the
-     * specifier — its addressing-mode kind, register number, stream
-     * constants (displacement / immediate / absolute address / branch
-     * target), access step, decode cycles, and the operand-counter
-     * contributions — is captured at decode time; only the
-     * register-dependent parts (effective addresses, auto-inc/dec
-     * register updates) are replayed per execution, in stream order,
-     * so the architectural and accounting effects match step()
-     * exactly.
+     * One decoded operand specifier.  Everything static about the
+     * specifier — its kind, register number, stream constants
+     * (displacement / immediate / address / branch target), access
+     * step, and specifier cycles — is captured at decode time.
+     * PC-based effective addresses are static too (the PC during
+     * decode is the stream cursor), so only general-register effective
+     * addresses, auto-inc/dec updates and the operand counters remain
+     * for issue(), in stream order.
      */
     struct PredecodedSpec
     {
         enum class Kind : std::uint8_t
         {
-            ShortLiteral, ///< value
-            Register,     ///< rn
-            Deferred,     ///< (Rn)
-            AutoDec,      ///< -(Rn)
-            AutoInc,      ///< (Rn)+
-            Immediate,    ///< (PC)+ : value from the stream
-            Absolute,     ///< @(PC)+ : value is the address
-            Disp,         ///< disp(Rn) : value is the displacement
-            Branch,       ///< value is the resolved target
+            Literal,     ///< short literal or (PC)+ immediate: value
+            Register,    ///< rn
+            Absolute,    ///< memory at value: @(PC)+
+            PcRelative,  ///< memory at value, a PC read: (PC), disp(PC)
+            PcAutoDec,   ///< memory at value, a PC read and write: -(PC)
+            Disp,        ///< memory at rn + value: (Rn), disp(Rn)
+            AutoDec,     ///< -(Rn)
+            AutoInc,     ///< (Rn)+
+            Branch,      ///< value is the resolved target
+            Fault,       ///< decoding stopped here (PredecodePayload::fault)
         };
-        Kind kind = Kind::ShortLiteral;
+        Kind kind = Kind::Fault;
         std::uint8_t rn = 0;
         std::uint8_t step = 0;        ///< auto-inc/dec stride
-        std::uint8_t specCycles = 0;  ///< decode/EA cycles step() adds
+        std::uint8_t specCycles = 0;  ///< specifier decode/EA cycles
         std::uint32_t value = 0;
     };
 
-    /** Decode-cache payload: one byte-addressed instruction. */
+    /** Why decoding stopped short of a whole instruction. */
+    enum class DecodeFault : std::uint8_t
+    {
+        None,
+        Fetch,       ///< the stream ran past the end of memory at next
+        Opcode,      ///< the opcode byte (the last one fetched) is illegal
+        Mode,        ///< the last byte fetched has an illegal mode nibble
+        AutoIncDef,  ///< @(Rn)+ with Rn other than PC
+    };
+
+    /**
+     * The decode record of the instruction at one address — what
+     * issue() executes on both tiers, and the decode cache's payload.
+     * A decode fault is data too: the record keeps the bytes fetched
+     * and the specifiers decoded before it, so issue() reproduces the
+     * partial state and then raises the fault.
+     */
     struct PredecodePayload
     {
+        /** Opcode metadata; nullptr when the opcode byte faulted. */
         const VaxOpInfo *info = nullptr;
-        std::uint8_t len = 0;  ///< encoded length in bytes
+        std::uint8_t len = 0;  ///< instruction-stream bytes fetched
+        DecodeFault fault = DecodeFault::None;
         /**
-         * Replay through step() instead: encodings whose decode
-         * depends on mid-stream PC values (PC-based EAs), that step()
-         * faults on (illegal opcode/mode, stream past memory end), or
-         * that otherwise defy static predecoding.  step() reproduces
-         * the reference behavior — including the exact fault and its
-         * partial state — by construction.
+         * False when -(PC) moved the stream cursor, so the bytes read
+         * are not simply [addr, addr + len): never cached.
          */
-        bool refStep = false;
-        std::array<std::uint8_t, maxInstrBytes> raw{};  ///< for revalidation
+        bool cacheable = true;
+        /** Stream cursor after decoding: the PC execution starts with
+         *  (and, on a fetch fault, the address that faulted). */
+        std::uint32_t next = 0;
+        std::array<std::uint8_t, maxInstrBytes> raw{};  ///< bytes fetched
         std::array<PredecodedSpec, vaxMaxOperands> specs{};
     };
 
@@ -307,11 +317,23 @@ class VaxMachine
     using PredecodeCache = target::DecodeCache<PredecodePayload, 0>;
 
     /**
-     * Predecode the instruction at @p addr via uncounted peeks (no
-     * architectural or accounting side effects).  Marks @p out
-     * refStep instead of failing when exact replay is not possible.
+     * Decode the instruction at @p addr via uncounted peeks (no
+     * architectural or accounting side effects) — the only specifier
+     * decoder.
      */
-    void predecodeAt(std::uint32_t addr, PredecodePayload &out) const;
+    PredecodePayload predecodeAt(std::uint32_t addr) const;
+
+    /**
+     * Execute @p p, the decode record of the instruction at the PC:
+     * instruction-stream accounting, the trace hook, counters,
+     * specifier side effects in stream order, then the opcode's
+     * semantics — shared by both tiers and inlined into each.
+     */
+    void issue(const PredecodePayload &p);
+
+    /** Raise @p p's decode fault; the caller has already applied
+     *  everything decoded before it, PC included. */
+    [[noreturn]] void raiseDecodeFault(const PredecodePayload &p);
 
     VaxConfig config_;
     Memory mem_;

@@ -12,7 +12,7 @@ namespace {
 
 TEST(Cache, ColdMissThenHit)
 {
-    mem::Level cache(CacheConfig{64, 16, 4});
+    mem::Level cache(mem::LevelConfig{64, 16, 4});
     EXPECT_FALSE(cache.access(0x1000).hit);
     EXPECT_TRUE(cache.access(0x1000).hit);
     EXPECT_TRUE(cache.access(0x100c).hit); // same 16-byte line
@@ -25,7 +25,7 @@ TEST(Cache, ColdMissThenHit)
 TEST(Cache, DirectMappedConflicts)
 {
     // 64B / 16B lines = 4 lines; addresses 64 apart collide.
-    mem::Level cache(CacheConfig{64, 16, 4});
+    mem::Level cache(mem::LevelConfig{64, 16, 4});
     EXPECT_FALSE(cache.access(0x0).hit);
     EXPECT_FALSE(cache.access(0x40).hit);  // evicts line 0
     EXPECT_FALSE(cache.access(0x0).hit);   // miss again
@@ -34,7 +34,7 @@ TEST(Cache, DirectMappedConflicts)
 
 TEST(Cache, LoopFitsEntirely)
 {
-    mem::Level cache(CacheConfig{256, 16, 4});
+    mem::Level cache(mem::LevelConfig{256, 16, 4});
     // A 16-word (64-byte) loop touched 100 times.
     for (int iter = 0; iter < 100; ++iter)
         for (std::uint32_t pc = 0x1000; pc < 0x1040; pc += 4)
@@ -46,9 +46,9 @@ TEST(Cache, LoopFitsEntirely)
 
 TEST(Cache, BadGeometryRejected)
 {
-    EXPECT_THROW(mem::Level(CacheConfig{100, 16, 4}), FatalError);
-    EXPECT_THROW(mem::Level(CacheConfig{64, 3, 4}), FatalError);
-    EXPECT_THROW(mem::Level(CacheConfig{8, 16, 4}), FatalError);
+    EXPECT_THROW(mem::Level(mem::LevelConfig{100, 16, 4}), FatalError);
+    EXPECT_THROW(mem::Level(mem::LevelConfig{64, 3, 4}), FatalError);
+    EXPECT_THROW(mem::Level(mem::LevelConfig{8, 16, 4}), FatalError);
 }
 
 TEST(Cache, ResetInvalidates)
@@ -62,7 +62,7 @@ TEST(Cache, ResetInvalidates)
 
 TEST(Cache, WriteThroughNeverWritesBack)
 {
-    mem::Level cache(CacheConfig{64, 16, 4});
+    mem::Level cache(mem::LevelConfig{64, 16, 4});
     cache.access(0x0, true);
     cache.access(0x40, true);  // evicts line 0 — clean under WT
     EXPECT_EQ(cache.stats().writebacks, 0u);
@@ -72,7 +72,7 @@ TEST(Cache, WriteThroughNeverWritesBack)
 TEST(Cache, WriteBackChargesDirtyEviction)
 {
     mem::Level cache(
-        CacheConfig{64, 16, 4, mem::WritePolicy::WriteBack});
+        mem::LevelConfig{64, 16, 4, mem::WritePolicy::WriteBack});
     cache.access(0x0, true);              // miss, line dirtied
     const auto evict = cache.access(0x40, false); // evicts dirty line
     EXPECT_FALSE(evict.hit);
@@ -94,7 +94,7 @@ TEST(MachineIcache, DisabledByDefault)
 TEST(MachineIcache, LoopsHitAfterWarmup)
 {
     MachineConfig cfg;
-    cfg.icache = CacheConfig{1024, 16, 4};
+    cfg.icache = mem::LevelConfig{1024, 16, 4};
     Machine m(cfg);
     test::loadAsm(m, R"(
 start:  clr   r1
@@ -121,7 +121,7 @@ TEST(MachineIcache, MissPenaltyChargedToCycles)
     plain.run();
 
     MachineConfig cfg;
-    cfg.icache = CacheConfig{64, 16, 10};
+    cfg.icache = mem::LevelConfig{64, 16, 10};
     Machine cached(cfg);
     test::loadAsm(cached, src);
     cached.run();
@@ -137,7 +137,7 @@ TEST(MachineIcache, ResultsUnchangedAcrossCacheSizes)
 {
     for (const std::uint32_t size : {64u, 256u, 4096u}) {
         MachineConfig cfg;
-        cfg.icache = CacheConfig{size, 16, 6};
+        cfg.icache = mem::LevelConfig{size, 16, 6};
         const RiscRun run =
             runRiscWorkload(findWorkload("sieve"), cfg);
         EXPECT_EQ(run.checksum, findWorkload("sieve").expected)
@@ -151,7 +151,7 @@ TEST(MachineIcache, LargeCacheBeatsTinyCache)
     // compare only the extremes, where the gap is unambiguous.)
     auto missesWith = [](std::uint32_t size) {
         MachineConfig cfg;
-        cfg.icache = CacheConfig{size, 16, 6};
+        cfg.icache = mem::LevelConfig{size, 16, 6};
         Machine m(cfg);
         test::loadAsm(m, findWorkload("fib_rec").riscSource);
         m.run();
@@ -179,7 +179,7 @@ loop:   ldl   r4, (r2)
     plain.run();
 
     MachineConfig cfg;
-    cfg.dcache = CacheConfig{128, 16, 7};
+    cfg.dcache = mem::LevelConfig{128, 16, 7};
     Machine cached(cfg);
     test::loadAsm(cached, src);
     cached.run();
@@ -196,7 +196,7 @@ TEST(MachineDcache, SpillTrafficBypassesDcache)
 {
     MachineConfig cfg;
     cfg.windows.numWindows = 2;     // recursion spills constantly
-    cfg.dcache = CacheConfig{256, 16, 7};
+    cfg.dcache = mem::LevelConfig{256, 16, 7};
     Machine m(cfg);
     test::loadAsm(m, R"(
 start:  ldi   r10, 12

@@ -1,154 +1,148 @@
 /**
- * Differential tests for the expression compiler: every random tree
- * must produce the native reference value through assembler + machine
- * on BOTH simulated architectures.  This exercises the full pipeline
- * (codegen -> assembler -> loader -> simulator) against an oracle.
+ * Expression-level differential tests, written as RL programs: each
+ * program runs through the reference interpreter (lang::interpret)
+ * and on both Targets through both simulator tiers (lang::diffProgram),
+ * and every run must match the oracle.  Cases with a value known in
+ * advance pin it too.  This exercises the full pipeline (RL lowering
+ * -> assembler -> loader -> simulator) one expression shape at a time.
  */
 
 #include <gtest/gtest.h>
 
-#include "asm/assembler.hh"
-#include "codegen/expr.hh"
-#include "common/logging.hh"
-#include "core/machine.hh"
-#include "target/registry.hh"
-#include "target/target.hh"
-#include "vax/vassembler.hh"
-#include "vax/vmachine.hh"
+#include <optional>
+#include <string>
+#include <vector>
 
-namespace risc1 {
+#include "common/logging.hh"
+#include "common/random.hh"
+#include "lang/compile.hh"
+#include "lang/diff.hh"
+#include "lang/parser.hh"
+#include "lang/print.hh"
+
+namespace risc1::lang {
 namespace {
 
-std::uint32_t
-runRiscExpr(const ExprNode &node, const std::vector<std::uint32_t> &vars)
+/** Globals v0, v1, ... holding @p vars, as RL declarations. */
+std::string
+declareVars(const std::vector<std::uint32_t> &vars)
 {
-    Machine m;
-    m.loadProgram(assembleRisc(compileExprRisc(node, vars)));
-    m.run(1'000'000);
-    return m.reg(1);
+    std::string text;
+    for (std::size_t i = 0; i < vars.size(); ++i)
+        text += "int v" + std::to_string(i) + " = " +
+                std::to_string(vars[i]) + ";\n";
+    return text;
 }
 
-std::uint32_t
-runVaxExpr(const ExprNode &node, const std::vector<std::uint32_t> &vars)
+/** `int main() { return <expr>; }` over globals holding @p vars. */
+std::string
+exprProgram(const std::string &expr, const std::vector<std::uint32_t> &vars)
 {
-    VaxMachine m;
-    m.loadProgram(assembleVax(compileExprVax(node, vars)));
-    m.run(1'000'000);
-    return m.reg(0);
+    return declareVars(vars) + "int main() {\n  return " + expr + ";\n}\n";
 }
 
 /**
- * Run the compiled expression on every Target configuration — both
- * backends through both the step() reference path and the predecoded
- * fast path — and require the native reference value from each.  The
- * direct Machine/VaxMachine helpers above only cover one tier each;
- * this closes the gap for every expression case in the file.
+ * Require the interpreter and all four backend runs to agree on
+ * @p source, and main to return @p want when given.
  */
 void
-expectEveryTargetAgrees(const ExprNode &node,
-                        const std::vector<std::uint32_t> &vars)
+expectAgreement(const std::string &source,
+                std::optional<std::uint32_t> want = std::nullopt)
 {
-    const std::uint32_t expect = evalExprTree(node, vars);
-    for (const char *backend : {"risc", "vax"}) {
-        const std::string source = backend == std::string("risc")
-                                       ? compileExprRisc(node, vars)
-                                       : compileExprVax(node, vars);
-        for (const bool fast : {false, true}) {
-            auto t = target::makeTarget(backend);
-            t->load(source);
-            const RunOutcome outcome = t->run(1'000'000, fast);
-            ASSERT_TRUE(outcome.halted)
-                << backend << (fast ? "/fast" : "/step") << " hung: "
-                << exprToString(node);
-            EXPECT_EQ(t->checksum(), expect)
-                << backend << (fast ? "/fast" : "/step") << ": "
-                << exprToString(node);
-        }
+    SCOPED_TRACE(source);
+    const DiffOutcome verdict = diffProgram(parseProgram(source));
+    ASSERT_FALSE(verdict.skipped) << verdict.skipReason;
+    ASSERT_EQ(verdict.runs.size(), 4u);
+    EXPECT_TRUE(verdict.agreed) << verdict.report();
+    if (want) {
+        EXPECT_EQ(verdict.reference.obs.ret, *want);
     }
 }
 
 TEST(Codegen, ConstantsFlowThrough)
 {
-    const auto node = ExprNode::constant(0xdeadbeef);
-    const std::vector<std::uint32_t> vars;
-    EXPECT_EQ(runRiscExpr(*node, vars), 0xdeadbeefu);
-    EXPECT_EQ(runVaxExpr(*node, vars), 0xdeadbeefu);
-    expectEveryTargetAgrees(*node, vars);
+    expectAgreement(exprProgram("0xdeadbeef", {}), 0xdeadbeefu);
 }
 
 TEST(Codegen, VariablesLoadFromTable)
 {
-    const auto node = ExprNode::variable(2);
-    const std::vector<std::uint32_t> vars = {10, 20, 30, 40};
-    EXPECT_EQ(runRiscExpr(*node, vars), 30u);
-    EXPECT_EQ(runVaxExpr(*node, vars), 30u);
-    expectEveryTargetAgrees(*node, vars);
+    expectAgreement(exprProgram("v2", {10, 20, 30, 40}), 30u);
 }
 
 TEST(Codegen, EachOperatorMatchesReference)
 {
     const std::vector<std::uint32_t> vars = {0x12345678, 0x0f0f0f0f};
-    for (const ExprOp op :
-         {ExprOp::Add, ExprOp::Sub, ExprOp::And, ExprOp::Or,
-          ExprOp::Xor}) {
-        const auto node = ExprNode::binary(op, ExprNode::variable(0),
-                                           ExprNode::variable(1));
-        const std::uint32_t expect = evalExprTree(*node, vars);
-        EXPECT_EQ(runRiscExpr(*node, vars), expect)
-            << exprToString(*node);
-        EXPECT_EQ(runVaxExpr(*node, vars), expect)
-            << exprToString(*node);
-        expectEveryTargetAgrees(*node, vars);
-    }
+    const std::uint32_t a = vars[0], b = vars[1];
+    const std::pair<const char *, std::uint32_t> binary[] = {
+        {"+", a + b}, {"-", a - b}, {"&", a & b}, {"|", a | b},
+        {"^", a ^ b},
+    };
+    for (const auto &[op, want] : binary)
+        expectAgreement(
+            exprProgram(std::string("(v0 ") + op + " v1)", vars), want);
     for (const unsigned k : {0u, 1u, 5u, 7u}) {
-        for (const ExprOp op : {ExprOp::Shl, ExprOp::Shr}) {
-            const auto node = ExprNode::binary(
-                op, ExprNode::variable(0), ExprNode::constant(k));
-            const std::uint32_t expect = evalExprTree(*node, vars);
-            EXPECT_EQ(runRiscExpr(*node, vars), expect)
-                << exprToString(*node);
-            EXPECT_EQ(runVaxExpr(*node, vars), expect)
-                << exprToString(*node);
-            expectEveryTargetAgrees(*node, vars);
-        }
+        const std::string count = std::to_string(k);
+        expectAgreement(exprProgram("(v0 << " + count + ")", vars),
+                        a << k);
+        expectAgreement(exprProgram("(v0 >> " + count + ")", vars),
+                        a >> k);
     }
 }
 
 TEST(Codegen, ShrIsLogicalOnNegativeValues)
 {
-    // The CISC's ashl is arithmetic; codegen must mask to match the
-    // logical-shift reference semantics.
-    const std::vector<std::uint32_t> vars = {0xffff0000};
-    const auto node = ExprNode::binary(
-        ExprOp::Shr, ExprNode::variable(0), ExprNode::constant(4));
-    EXPECT_EQ(runRiscExpr(*node, vars), 0x0ffff000u);
-    EXPECT_EQ(runVaxExpr(*node, vars), 0x0ffff000u);
-    expectEveryTargetAgrees(*node, vars);
+    // The CISC's ashl is arithmetic; the lowering must mask to match
+    // the language's logical shift.
+    expectAgreement(exprProgram("(v0 >> 4)", {0xffff0000}), 0x0ffff000u);
 }
 
 TEST(Codegen, TooDeepTreeRejected)
 {
-    auto node = ExprNode::constant(1);
+    // A right-leaning tree of depth 12 needs more expression-stack
+    // registers than the RISC lowering has (r16..r25).
+    std::string expr = "v0";
     for (int i = 0; i < 12; ++i)
-        node = ExprNode::binary(ExprOp::Add, ExprNode::constant(1),
-                                std::move(node));
-    const std::vector<std::uint32_t> vars;
-    // Right-leaning tree of depth 12 exceeds the register stack.
-    EXPECT_THROW(compileExprRisc(*node, vars), FatalError);
+        expr = "(v0 + " + expr + ")";
+    EXPECT_THROW(compileRisc(parseProgram(exprProgram(expr, {1}))),
+                 FatalError);
 }
 
 TEST(Codegen, MissingVariableRejected)
 {
-    const auto node = ExprNode::variable(3);
-    EXPECT_THROW(evalExprTree(*node, {1, 2}), FatalError);
+    EXPECT_THROW(parseProgram(exprProgram("v3", {1, 2})), FatalError);
 }
 
 TEST(Codegen, ExprUtilities)
 {
-    const auto node = ExprNode::binary(
-        ExprOp::Add, ExprNode::variable(0), ExprNode::constant(7));
-    EXPECT_EQ(exprSize(*node), 3u);
-    EXPECT_EQ(exprToString(*node), "(v0 + 7)");
+    const Program program = parseProgram(exprProgram("(v0 + 7)", {5}));
+    EXPECT_EQ(printProgram(parseProgram(printProgram(program))),
+              printProgram(program));
+    EXPECT_NE(printProgram(program).find("return (v0 + 7);"),
+              std::string::npos)
+        << printProgram(program);
+}
+
+/**
+ * A random expression over @p numVars globals, at most @p maxDepth
+ * deep: the operator mix of the retired expression compiler, with
+ * literal shift counts 0..7.
+ */
+std::string
+randomExpr(Rng &rng, unsigned numVars, unsigned maxDepth)
+{
+    if (maxDepth == 0 || rng.chance(1, 4)) {
+        if (rng.chance(1, 2))
+            return "v" + std::to_string(rng.below(numVars));
+        return std::to_string(static_cast<std::uint32_t>(rng.next()));
+    }
+    static const char *const ops[] = {"+", "-",  "&", "|",
+                                      "^", "<<", ">>"};
+    const std::string op = ops[rng.below(std::size(ops))];
+    const std::string lhs = randomExpr(rng, numVars, maxDepth - 1);
+    const std::string rhs = op == "<<" || op == ">>"
+                                ? std::to_string(rng.below(8))
+                                : randomExpr(rng, numVars, maxDepth - 1);
+    return "(" + lhs + " " + op + " " + rhs + ")";
 }
 
 /** The differential property sweep. */
@@ -164,14 +158,9 @@ TEST_P(CodegenDifferential, RandomTreesAgreeOnBothIsas)
         std::vector<std::uint32_t> vars;
         for (unsigned i = 0; i < numVars; ++i)
             vars.push_back(static_cast<std::uint32_t>(rng.next()));
-        const auto node = randomExpr(rng, numVars, 6);
-        const std::uint32_t expect = evalExprTree(*node, vars);
-
-        ASSERT_EQ(runRiscExpr(*node, vars), expect)
-            << "RISC mismatch: " << exprToString(*node);
-        ASSERT_EQ(runVaxExpr(*node, vars), expect)
-            << "CISC mismatch: " << exprToString(*node);
-        expectEveryTargetAgrees(*node, vars);
+        expectAgreement(exprProgram(randomExpr(rng, numVars, 6), vars));
+        if (HasFatalFailure())
+            return;
     }
 }
 
@@ -180,4 +169,4 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CodegenDifferential,
                                            505u, 606u));
 
 } // namespace
-} // namespace risc1
+} // namespace risc1::lang

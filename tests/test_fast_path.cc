@@ -1,14 +1,16 @@
 /**
- * Differential (lockstep) tests for the predecoded fast path.
+ * Lockstep tests for the RISC I decode cache.
  *
- * Machine::runFast promises bit-for-bit equivalence with calling
- * step() in a loop: registers, PSW, memory contents, every
- * RunStats/MemoryStats counter, interrupt acceptance, and delay-slot
- * behavior.  These tests run the same program on two machines — one
- * through each path — and assert the complete MachineSnapshots are
- * equal, over every example program, every benchmark workload, and
- * the cases that stress decode-cache invalidation (self-modifying
- * code, snapshot restore) and mixed stepping.
+ * step() and runFast() run the same decode record through the same
+ * handler and per-instruction code; they differ only in that runFast
+ * serves the record from a decode cache.  These tests police that
+ * cache: they run the same program on two machines — one per tier —
+ * and assert the complete MachineSnapshots are equal, over every
+ * example program, every benchmark workload, and the cases that
+ * stress decode-cache invalidation (self-modifying code, snapshot
+ * restore), interrupts, and mixed stepping.  The semantics themselves
+ * are judged by independent oracles: the RL reference interpreter,
+ * the workload checksums, and the goldens under tests/golden/.
  */
 
 #include <gtest/gtest.h>
@@ -80,7 +82,7 @@ expectLockstep(const std::string &source, const MachineConfig &config =
         slow.step();
         ++steps;
     }
-    ASSERT_TRUE(slow.halted()) << "reference interpreter did not halt";
+    ASSERT_TRUE(slow.halted()) << "step() tier did not halt";
 
     Machine fast(config);
     fast.loadProgram(prog);
@@ -119,8 +121,8 @@ TEST(FastPath, WorkloadsUnderCachesAndAblation)
     // Exercise the icache/dcache accounting and the no-window ablation
     // through both paths (fib_rec covers window traffic).
     MachineConfig cached;
-    cached.icache = CacheConfig{512, 16, 8};
-    cached.dcache = CacheConfig{256, 16, 10};
+    cached.icache = mem::LevelConfig{512, 16, 8};
+    cached.dcache = mem::LevelConfig{256, 16, 10};
     MachineConfig soft;
     soft.windowedCalls = false;
 
@@ -171,8 +173,8 @@ newinst: .word 0x)" << std::hex << patched << "\n";
  * Self-modifying code, patch behind the program counter: the `target:`
  * instruction executes once (and is now hot in the decode cache), is
  * then overwritten, and the loop jumps back through it.  A stale cache
- * would replay the old decode; the reference interpreter re-fetches
- * every step, so lockstep equality proves the invalidation works.
+ * would replay the old decode; step() re-fetches and re-decodes every
+ * time, so lockstep equality proves the invalidation works.
  */
 TEST(FastPath, SelfModifyingLoopBack)
 {
@@ -246,8 +248,8 @@ start:  ldi   r1, 222
 
 /**
  * Interrupt acceptance and mixed stepping: deliver an interrupt after
- * exactly 20 executed instructions on both machines — the reference
- * stepping one at a time, the fast path running in bounded chunks —
+ * exactly 20 executed instructions on both machines — one stepping
+ * one at a time, the other running runFast in bounded chunks —
  * then run both to completion.
  */
 TEST(FastPath, InterruptsAndChunkedStepping)
@@ -339,7 +341,7 @@ TEST(FastPath, CallTraceRecorded)
 }
 
 /**
- * With a tracer installed, runFast falls back to step() so the
+ * With a tracer installed, runFast stays on the decode cache and the
  * hook still observes every instruction in decode order.
  */
 TEST(FastPath, TraceSeesEveryInstruction)

@@ -8,8 +8,11 @@
  *      reproduces the identical encoding (pc-relative JMPR/CALLR are
  *      exempt, as in test_disasm.cc: their textual operand is an
  *      absolute target the assembler re-anchors);
- *  (c) the reference interpreter and the predecoded fast path agree
- *      bit-for-bit on the final machine state.
+ *  (c) step() and runFast() agree bit-for-bit on the final machine
+ *      state.  The tiers share their decode record and handlers, so
+ *      this polices the decode cache and its invalidation; the
+ *      semantics are judged by independent oracles (the RL reference
+ *      interpreter, workload checksums, tests/golden/fault_fuzz.txt).
  *
  * Every assertion carries the failing seed so a divergence reproduces
  * with a one-line test filter.

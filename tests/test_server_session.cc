@@ -161,6 +161,31 @@ TEST(ServerSession, RunMatchesSingleShotExecution)
     cleanupSpool(cfg);
 }
 
+TEST(ServerSession, OverflowingDivideInClientSourceRunsCleanly)
+{
+    // INT32_MIN / -1 in client-supplied source is an architectural
+    // overflow (V set, quotient 0x80000000).  Were it a host divide it
+    // would trap (SIGFPE) and take the whole daemon down.
+    const auto cfg = testConfig("divl");
+    {
+        Service service(cfg);
+        Driver d(service);
+        const std::string id =
+            d.ok("{\"cmd\":\"create\",\"backend\":\"vax\","
+                 "\"source\":\"start: movl #0x80000000, r1\\n"
+                 "movl #0xffffffff, r2\\ndivl3 r2, r1, r0\\n"
+                 "halt\\n\"}")
+                .stringOr("session", "");
+        ASSERT_FALSE(id.empty());
+        const JsonValue run = d.ok("{\"cmd\":\"run\",\"session\":\"" +
+                                   id + "\",\"maxSteps\":100}");
+        EXPECT_TRUE(run.boolOr("halted", false));
+        EXPECT_EQ(run.u64Or("checksum", 0), 0x80000000u);
+        d.ok("{\"cmd\":\"ping\"}");
+    }
+    cleanupSpool(cfg);
+}
+
 TEST(ServerSession, StepPeekRegsStats)
 {
     const auto cfg = testConfig("sprs");

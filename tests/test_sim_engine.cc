@@ -65,7 +65,7 @@ mixedJobs()
         SimJob cached;
         cached.id = std::string(id) + "/icache";
         cached.source = w.riscSource;
-        cached.config.risc.icache = CacheConfig{256, 16, 4};
+        cached.config.risc.icache = mem::LevelConfig{256, 16, 4};
         cached.expected = w.expected;
         jobs.push_back(std::move(cached));
 
@@ -208,7 +208,7 @@ TEST(SimEngine, SnapshotForkMatchesFreshRun)
     // Fork the same prologue onto a cache-equipped sweep point too.
     SimJob forkedCached = forked;
     forkedCached.id = "forked-icache";
-    forkedCached.config.risc.icache = CacheConfig{512, 16, 4};
+    forkedCached.config.risc.icache = mem::LevelConfig{512, 16, 4};
 
     const auto results =
         sim::runBatch({fresh, forked, forkedCached}, {2});

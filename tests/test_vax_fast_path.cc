@@ -1,14 +1,18 @@
 /**
- * Differential (lockstep) tests for the VAX predecoded fast path.
+ * Lockstep tests for the VAX decode cache.
  *
- * VaxMachine::runFast promises bit-for-bit equivalence with calling
- * step() in a loop: registers, condition codes, memory contents, and
- * every VaxStats/MemoryStats counter.  These tests run the same
- * program on two machines — one through each path — and assert the
- * complete VaxSnapshots are equal, over every benchmark workload and
- * the cases that stress decode-cache invalidation (self-modifying
- * code, snapshot restore) and mixed stepping.  The mirror of
- * tests/test_fast_path.cc for the CISC baseline.
+ * step() and runFast() run the same decode record (predecodeAt)
+ * through the same issue() code; they differ only in that runFast
+ * serves the record from a decode cache.  These tests police that
+ * cache: they run the same program on two machines — one per tier —
+ * and assert the complete VaxSnapshots are equal, over every
+ * benchmark workload and the cases that stress decode-cache
+ * invalidation (self-modifying code, snapshot restore) and mixed
+ * stepping.  The semantics themselves are judged by independent
+ * oracles: the RL reference interpreter, the workload checksums, and
+ * the goldens under tests/golden/ (fault_fuzz.txt pins decode-fault
+ * state).  The mirror of tests/test_fast_path.cc for the CISC
+ * baseline.
  */
 
 #include <gtest/gtest.h>
@@ -65,7 +69,7 @@ expectLockstep(const std::string &source,
         slow.step();
         ++steps;
     }
-    ASSERT_TRUE(slow.halted()) << "reference interpreter did not halt";
+    ASSERT_TRUE(slow.halted()) << "step() tier did not halt";
 
     VaxMachine fast(config);
     fast.loadProgram(prog);
@@ -153,7 +157,7 @@ TEST(VaxFastPath, SelfModifyingCodeInvalidates)
 {
     // Patch an instruction's immediate bytes mid-run on both machines:
     // the fast path's decode cache must notice the code-line write and
-    // re-decode, keeping lockstep with the reference interpreter.
+    // re-decode, keeping lockstep with step(), which decodes afresh.
     const char *const source = R"(
 start:  clrl   r0
         movl   #40, r2

@@ -165,5 +165,89 @@ zero:   halt
     EXPECT_EQ(m.reg(2), 1u);
 }
 
+/**
+ * Run @p source to halt through step() and, on a twin, through
+ * runFast(); both tiers must end in the same state.  @return the
+ * step() machine.
+ */
+VaxMachine
+runBothTiers(const std::string &source)
+{
+    const Program prog = assembleVax(source);
+    VaxMachine slow, fast;
+    slow.loadProgram(prog);
+    fast.loadProgram(prog);
+    slow.run(1000);
+    EXPECT_TRUE(fast.runFast(1000).halted);
+    EXPECT_TRUE(slow.snapshot() == fast.snapshot())
+        << "step and runFast disagree";
+    return slow;
+}
+
+TEST(VaxFlags, DivlOverflowKeepsLowBitsAndSetsV)
+{
+    // INT32_MIN / -1: the true quotient 2^31 does not fit, so the
+    // destination gets its low 32 bits with V set.  A host divide of
+    // these operands traps (SIGFPE) and would kill the process.
+    const std::pair<const char *, unsigned> forms[] = {
+        {"divl3 r2, r1, r0", 0}, {"divl2 r2, r1", 1}};
+    for (const auto &[div, dst] : forms) {
+        SCOPED_TRACE(div);
+        const VaxMachine m = runBothTiers(
+            std::string("start:  movl  #0x80000000, r1\n"
+                        "        movl  #0xffffffff, r2\n"
+                        "        ") +
+            div + "\n        halt\n");
+        EXPECT_EQ(m.reg(dst), 0x80000000u);
+        EXPECT_TRUE(m.cc().v);
+        EXPECT_TRUE(m.cc().n);
+        EXPECT_FALSE(m.cc().z);
+        EXPECT_FALSE(m.cc().c);
+    }
+
+    // The flags are DIVL's own: V set, then cleared by the next
+    // in-range quotient.
+    const VaxMachine v = runBothTiers(R"(
+start:  movl  #0x80000000, r1
+        movl  #0xffffffff, r2
+        divl3 r2, r1, r0
+        bvc   clear
+        movl  #1, r3
+clear:  divl3 #2, #8, r4
+        bvs   set
+        movl  #1, r5
+set:    halt
+)");
+    EXPECT_EQ(v.reg(3), 1u);
+    EXPECT_EQ(v.reg(4), 4u);
+    EXPECT_EQ(v.reg(5), 1u);
+}
+
+TEST(VaxFlags, AshlClampsHugeNegativeCounts)
+{
+    // Counts at or below -31 shift right by 31, down to INT32_MIN,
+    // whose negation would overflow.
+    const VaxMachine m = runBothTiers(R"(
+start:  movl  #0x80000000, r3   ; count INT32_MIN
+        movl  #0x80000010, r1   ; negative source
+        movl  #0x7fffffff, r2   ; non-negative source
+        ashl  r3, r1, r4
+        ashl  r3, r2, r5
+        movl  #0xffffffe1, r6   ; count -31
+        ashl  r6, r1, r7
+        ashl  r6, r2, r8
+        movl  #0xffffffe2, r6   ; count -30
+        ashl  r6, r1, r9
+        ashl  r6, r2, r10
+        halt
+)");
+    EXPECT_EQ(m.reg(4), 0xffffffffu);
+    EXPECT_EQ(m.reg(5), 0u);
+    EXPECT_EQ(m.reg(7), 0xffffffffu);
+    EXPECT_EQ(m.reg(8), 0u);
+    EXPECT_EQ(m.reg(9), 0xfffffffeu);
+    EXPECT_EQ(m.reg(10), 1u);
+}
+
 } // namespace
 } // namespace risc1
