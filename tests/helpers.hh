@@ -50,6 +50,18 @@ loadRandomWords(Machine &m, Rng &rng)
     m.reset(kOrg);
 }
 
+/** 64-bit FNV-1a of @p bytes: the digest the byte-pinning goldens use. */
+inline std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 /** Assemble @p source, load, and reset @p m. */
 inline void
 loadAsm(Machine &m, const std::string &source)

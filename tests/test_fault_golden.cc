@@ -101,29 +101,17 @@ driveFast(M &m)
     return d;
 }
 
-/** 64-bit FNV-1a of @p bytes. */
-std::uint64_t
-fnv1a(const std::vector<std::uint8_t> &bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 std::uint64_t
 stateDigest(const Machine &m)
 {
-    return fnv1a(target::serializeSnapshot(
+    return test::fnv1a(target::serializeSnapshot(
         target::RiscTargetSnapshot(m.snapshot())));
 }
 
 std::uint64_t
 stateDigest(const VaxMachine &m)
 {
-    return fnv1a(target::serializeSnapshot(
+    return test::fnv1a(target::serializeSnapshot(
         target::VaxTargetSnapshot(m.snapshot())));
 }
 

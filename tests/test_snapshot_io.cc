@@ -6,6 +6,7 @@
  * must fail with FatalError, never crash.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -13,11 +14,13 @@
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "helpers.hh"
 #include "mem/config.hh"
 #include "target/registry.hh"
 #include "target/risc_target.hh"
 #include "target/snapshot_io.hh"
 #include "target/vax_target.hh"
+#include "vax/vassembler.hh"
 #include "workloads/workloads.hh"
 
 using namespace risc1;
@@ -41,7 +44,66 @@ makeBusyTarget(const std::string &backend, std::uint64_t steps)
     return target;
 }
 
+/**
+ * L1I write-through, L1D write-back, L2 write-back: small enough that
+ * a partial run leaves dirty lines in both write-back levels.
+ */
+mem::HierarchyConfig
+dirtyHierarchy()
+{
+    mem::HierarchyConfig h;
+    h.l1i = mem::parseLevelSpec("512,16,4,wt", "test l1i");
+    h.l1d = mem::parseLevelSpec("256,16,6,wb", "test l1d");
+    h.l2 = mem::parseLevelSpec("4096,32,20,wb", "test l2");
+    return h;
+}
+
+bool
+anyDirty(const std::optional<mem::LevelSnapshot> &level)
+{
+    return level && std::find(level->dirty.begin(), level->dirty.end(),
+                              true) != level->dirty.end();
+}
+
 } // namespace
+
+TEST(SnapshotIo, BytesArePinnedOnBothBackends)
+{
+    // FNV-1a of the serialized bytes, fixed so that any change to the
+    // codec's byte format (field order, widths, length prefixes) fails
+    // here.  The states cover what tests/golden/fault_fuzz.txt does
+    // not: a partly run workload, a three-level hierarchy with dirty
+    // lines, a non-default window count and a RISC call trace.
+    const Workload &w = findWorkload("qsort_rec");
+
+    MachineConfig riscConfig;
+    riscConfig.windows.numWindows = 4;
+    riscConfig.caches = dirtyHierarchy();
+    Machine risc(riscConfig);
+    risc.setRecordCallTrace(true);
+    risc.loadProgram(assembleRisc(w.riscSource));
+    risc.runFast(3000);
+    const MachineSnapshot riscSnap = risc.snapshot();
+    ASSERT_FALSE(riscSnap.halted);
+    ASSERT_FALSE(riscSnap.callTrace.empty());
+    ASSERT_GT(riscSnap.stats.windowOverflows, 0u);
+    ASSERT_TRUE(anyDirty(riscSnap.caches.l1d));
+    ASSERT_TRUE(anyDirty(riscSnap.caches.l2));
+    EXPECT_EQ(test::fnv1a(serializeSnapshot(RiscTargetSnapshot(riscSnap))),
+              0x90a0da9f366ca57bull);
+
+    VaxConfig vaxConfig;
+    vaxConfig.caches = dirtyHierarchy();
+    VaxMachine vax(vaxConfig);
+    vax.loadProgram(assembleVax(w.vaxSource));
+    vax.runFast(3000);
+    const VaxSnapshot vaxSnap = vax.snapshot();
+    ASSERT_FALSE(vaxSnap.halted);
+    ASSERT_TRUE(anyDirty(vaxSnap.caches.l1d));
+    ASSERT_TRUE(anyDirty(vaxSnap.caches.l2));
+    EXPECT_EQ(test::fnv1a(serializeSnapshot(VaxTargetSnapshot(vaxSnap))),
+              0x8dade7987bc6c355ull);
+}
 
 TEST(SnapshotIo, RoundTripsRiscExactly)
 {
