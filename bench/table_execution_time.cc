@@ -19,8 +19,7 @@
 #include "experiments.hh"
 #include "sim/artifact.hh"
 #include "sim/engine.hh"
-#include "target/risc_target.hh"
-#include "target/vax_target.hh"
+#include "target/machine_target.hh"
 #include "workloads/workloads.hh"
 
 using namespace risc1;
@@ -71,7 +70,7 @@ bench::runTableExecutionTime()
     for (const auto &w : allWorkloads()) {
         const RunStats &r = target::riscStats(*results[i].stats).run;
         const VaxStats &v =
-            target::vaxStats(*results[i + 1].stats).vax;
+            target::vaxStats(*results[i + 1].stats).run;
         i += 2;
         const double riscCpi = static_cast<double>(r.cycles) /
                                static_cast<double>(r.instructions);

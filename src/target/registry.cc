@@ -1,9 +1,7 @@
 #include "target/registry.hh"
 
 #include "common/logging.hh"
-#include "target/risc_target.hh"
-#include "target/vax_target.hh"
-#include "workloads/workloads.hh"
+#include "target/machine_target.hh"
 
 namespace risc1::target {
 
@@ -19,33 +17,26 @@ struct BackendInfo
     const std::string &(*workloadSource)(const Workload &);
 };
 
+template <typename B>
+std::unique_ptr<Target>
+make(const TargetOptions &options)
+{
+    return std::make_unique<MachineTarget<B>>(options);
+}
+
+template <typename B>
+std::shared_ptr<const TargetStats>
+makeEmptyStats()
+{
+    return std::make_shared<MachineTargetStats<B>>();
+}
+
 const BackendInfo kBackends[] = {
-    {
-        "risc",
-        {},
-        [](const TargetOptions &options) -> std::unique_ptr<Target> {
-            return std::make_unique<RiscTarget>(options);
-        },
-        []() -> std::shared_ptr<const TargetStats> {
-            return std::make_shared<RiscTargetStats>();
-        },
-        [](const Workload &w) -> const std::string & {
-            return w.riscSource;
-        },
-    },
-    {
-        "vax",
-        {"cisc"},  // legacy name kept readable in job files/artifacts
-        [](const TargetOptions &options) -> std::unique_ptr<Target> {
-            return std::make_unique<VaxTarget>(options);
-        },
-        []() -> std::shared_ptr<const TargetStats> {
-            return std::make_shared<VaxTargetStats>();
-        },
-        [](const Workload &w) -> const std::string & {
-            return w.vaxSource;
-        },
-    },
+    {RiscBackend::name, {}, make<RiscBackend>, makeEmptyStats<RiscBackend>,
+     RiscBackend::workloadSource},
+    // "cisc": the legacy name, kept readable in job files and artifacts.
+    {VaxBackend::name, {"cisc"}, make<VaxBackend>,
+     makeEmptyStats<VaxBackend>, VaxBackend::workloadSource},
 };
 
 const BackendInfo *

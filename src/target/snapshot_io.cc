@@ -6,8 +6,7 @@
 #include <memory>
 
 #include "common/logging.hh"
-#include "target/risc_target.hh"
-#include "target/vax_target.hh"
+#include "target/machine_target.hh"
 
 namespace risc1::target {
 

@@ -10,9 +10,9 @@
  * lifecycle — load (assemble + load a source program), step/run,
  * snapshot/restore for warm-start forking, and a unified stats view
  * with per-ISA extensions.  Backends are constructed by name through
- * the registry (registry.hh); adding a backend means adding a Target
- * implementation under src/target/ plus one registry entry — nothing
- * in src/sim/ changes.
+ * the registry (registry.hh).  The one implementation is the
+ * MachineTarget template (machine_target.hh); adding a backend means a
+ * traits struct plus one registry row — nothing in src/sim/ changes.
  */
 
 #ifndef RISC1_TARGET_TARGET_HH
@@ -53,8 +53,8 @@ struct TargetOptions
 /**
  * Unified run-statistics view.  The shared accessors cover the
  * counters every ISA has (the comparative tables' common axis); the
- * concrete subclasses carry the full per-ISA counter sets and render
- * their own artifact JSON blocks.
+ * concrete MachineTargetStats<B> (machine_target.hh) carries the full
+ * per-ISA counter set and renders the artifact JSON blocks.
  */
 class TargetStats
 {
@@ -82,46 +82,6 @@ class TargetStats
      */
     virtual void writeJson(JsonWriter &w) const = 0;
 };
-
-/** The RISC I backend's full statistics (downcast via risc1::target::riscStats). */
-struct RiscTargetStats final : TargetStats
-{
-    RunStats run;
-    mem::HierarchyStats caches;
-
-    std::uint64_t cycles() const override { return run.cycles; }
-    std::uint64_t instructions() const override { return run.instructions; }
-    std::uint64_t calls() const override { return run.calls; }
-    std::uint64_t returns() const override { return run.returns; }
-    const mem::HierarchyStats &memHierarchy() const override
-    {
-        return caches;
-    }
-    void writeJson(JsonWriter &w) const override;
-};
-
-/** The CISC baseline's full statistics (downcast via risc1::target::vaxStats). */
-struct VaxTargetStats final : TargetStats
-{
-    VaxStats vax;
-    mem::HierarchyStats caches;
-
-    std::uint64_t cycles() const override { return vax.cycles; }
-    std::uint64_t instructions() const override { return vax.instructions; }
-    std::uint64_t calls() const override { return vax.calls; }
-    std::uint64_t returns() const override { return vax.returns; }
-    const mem::HierarchyStats &memHierarchy() const override
-    {
-        return caches;
-    }
-    void writeJson(JsonWriter &w) const override;
-};
-
-/** Checked downcast to the RISC I counters; fatal on a non-RISC result. */
-const RiscTargetStats &riscStats(const TargetStats &stats);
-
-/** Checked downcast to the baseline counters; fatal on a non-VAX result. */
-const VaxTargetStats &vaxStats(const TargetStats &stats);
 
 /**
  * An opaque captured machine state.  Snapshots are produced by

@@ -42,9 +42,8 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "helpers.hh"
-#include "target/risc_target.hh"
+#include "target/machine_target.hh"
 #include "target/snapshot_io.hh"
-#include "target/vax_target.hh"
 #include "vax/vmachine.hh"
 
 namespace risc1 {

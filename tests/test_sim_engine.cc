@@ -15,8 +15,7 @@
 #include "sim/artifact.hh"
 #include "sim/engine.hh"
 #include "sim/jobfile.hh"
-#include "target/risc_target.hh"
-#include "target/vax_target.hh"
+#include "target/machine_target.hh"
 #include "vax/vassembler.hh"
 #include "workloads/workloads.hh"
 
@@ -252,8 +251,8 @@ TEST(SimEngine, VaxSnapshotForkMatchesFreshRun)
         ASSERT_EQ(r.status, JobStatus::Ok) << r.id << ": " << r.error;
 
     EXPECT_EQ(results[1].backend, "vax");
-    EXPECT_EQ(target::vaxStats(*results[0].stats).vax,
-              target::vaxStats(*results[1].stats).vax);
+    EXPECT_EQ(target::vaxStats(*results[0].stats).run,
+              target::vaxStats(*results[1].stats).run);
 }
 
 TEST(SimEngine, CrossBackendSnapshotIsRejected)

@@ -16,10 +16,9 @@
 #include "common/random.hh"
 #include "helpers.hh"
 #include "mem/config.hh"
+#include "target/machine_target.hh"
 #include "target/registry.hh"
-#include "target/risc_target.hh"
 #include "target/snapshot_io.hh"
-#include "target/vax_target.hh"
 #include "vax/vassembler.hh"
 #include "workloads/workloads.hh"
 
