@@ -1,7 +1,12 @@
 #include "target/snapshot_io.hh"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <concepts>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -452,14 +457,33 @@ deserializeSnapshot(const std::vector<std::uint8_t> &bytes)
 void
 writeSnapshotFile(const std::string &path, const TargetSnapshot &snap)
 {
+    // Write <path>.tmp, make it durable, then rename it over <path>:
+    // a failure or crash at any point leaves the old <path> intact.
     const std::vector<std::uint8_t> bytes = serializeSnapshot(snap);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        fatal(cat("cannot open snapshot file for writing: ", path));
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              std::streamsize(bytes.size()));
-    if (!out)
-        fatal(cat("short write to snapshot file: ", path));
+    const std::string tmp = path + ".tmp";
+    const int fd =
+        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd < 0)
+        fatal(cat("cannot open snapshot file for writing: ", tmp, ": ",
+                  std::strerror(errno)));
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+        const ssize_t n =
+            ::write(fd, bytes.data() + done, bytes.size() - done);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        done += std::size_t(n);
+    }
+    bool ok = done == bytes.size() && ::fsync(fd) == 0;
+    ok = ::close(fd) == 0 && ok;
+    ok = ok && ::rename(tmp.c_str(), path.c_str()) == 0;
+    if (!ok) {
+        const std::string why = std::strerror(errno);
+        ::unlink(tmp.c_str());
+        fatal(cat("cannot write snapshot file ", path, ": ", why));
+    }
 }
 
 std::shared_ptr<const TargetSnapshot>

@@ -46,8 +46,11 @@ std::shared_ptr<const TargetSnapshot>
 deserializeSnapshot(const std::vector<std::uint8_t> &bytes);
 
 /**
- * Write @p snap to @p path (directories are not created — the caller
- * owns the spool layout).  @throws FatalError on I/O failure.
+ * Write @p snap to @p path atomically: the bytes go to `<path>.tmp`,
+ * which is fsynced and then renamed over @p path, so a failure leaves
+ * any existing @p path unchanged.  Directories are not created — the
+ * caller owns the spool layout.  @throws FatalError on I/O failure,
+ * after removing the temp file.
  */
 void writeSnapshotFile(const std::string &path, const TargetSnapshot &snap);
 

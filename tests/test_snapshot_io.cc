@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -160,6 +162,30 @@ TEST(SnapshotIo, FileRoundTrip)
     writeSnapshotFile(path, *target->snapshot());
     const auto decoded = readSnapshotFile(path);
     EXPECT_EQ(decoded->backend(), "risc");
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    std::filesystem::remove(path);
+}
+
+TEST(SnapshotIo, FailedWriteLeavesTheOldFileIntact)
+{
+    // The write goes through <path>.tmp; when that cannot be opened
+    // (here it is a directory) the call must throw without touching
+    // the existing <path>.
+    const std::string path = "snapshot_io_atomic.snap";
+    const auto slurp = [&] {
+        std::ifstream in(path, std::ios::binary);
+        return std::vector<char>(std::istreambuf_iterator<char>(in),
+                                 std::istreambuf_iterator<char>());
+    };
+    writeSnapshotFile(path, *makeBusyTarget("risc", 100)->snapshot());
+    const std::vector<char> before = slurp();
+    ASSERT_FALSE(before.empty());
+    std::filesystem::create_directory(path + ".tmp");
+    EXPECT_THROW(
+        writeSnapshotFile(path, *makeBusyTarget("vax", 100)->snapshot()),
+        FatalError);
+    EXPECT_EQ(slurp(), before);
+    std::filesystem::remove(path + ".tmp");
     std::filesystem::remove(path);
 }
 
