@@ -59,7 +59,7 @@ bench::runFigIcacheSweep()
             sim::SimJob job;
             job.id = cat(w.id, "/", size, "B");
             job.base = snap;
-            job.config.risc.icache = mem::LevelConfig{size, 16, 4};
+            job.config.risc.caches.l1i = mem::LevelConfig{size, 16, 4};
             job.expected = w.expected;
             jobs.push_back(std::move(job));
         }

@@ -45,20 +45,8 @@ Machine::Machine(const MachineConfig &config)
         config_.softAreaTop % 4 != 0 ||
         config_.softAreaTop > config_.memorySize)
         fatal("save areas must be word-aligned and inside memory");
-    if (const mem::HierarchyConfig h = config_.effectiveHierarchy();
-        h.any())
-        hier_.emplace(h);
-}
-
-mem::HierarchyConfig
-MachineConfig::effectiveHierarchy() const
-{
-    mem::HierarchyConfig h = caches;
-    if (!h.l1i && icache)
-        h.l1i = *icache;
-    if (!h.l1d && dcache)
-        h.l1d = *dcache;
-    return h;
+    if (config_.caches.any())
+        hier_.emplace(config_.caches);
 }
 
 void

@@ -81,26 +81,13 @@ struct MachineConfig
     /** Words saved and restored per call in the ablation. */
     unsigned softFrameWords = 8;
     /**
-     * Legacy flat instruction-cache config: shorthand for mem.l1i
-     * (the RISC II-era extension).  When both are set, mem.l1i wins.
-     * Disabled by default — RISC I had no cache.
-     */
-    std::optional<mem::LevelConfig> icache;
-    /**
-     * Legacy flat data-cache config: shorthand for mem.l1d, consulted
-     * on program loads/stores (window spill/fill traffic bypasses the
-     * hierarchy, as trap microcode would).  Disabled by default.
-     */
-    std::optional<mem::LevelConfig> dcache;
-    /**
      * Memory-hierarchy configuration (mem/hierarchy.hh): split L1s
-     * over an optional unified L2.  The legacy icache/dcache fields
-     * above fold into the l1i/l1d slots at construction.
+     * over an optional unified L2.  The L1D sees program loads and
+     * stores only (window spill/fill traffic bypasses the hierarchy,
+     * as trap microcode would).  Empty by default — RISC I had no
+     * cache.
      */
     mem::HierarchyConfig caches;
-
-    /** Effective hierarchy config after folding the legacy fields. */
-    mem::HierarchyConfig effectiveHierarchy() const;
 };
 
 /** Packed PSW layout used by GETPSW/PUTPSW. */

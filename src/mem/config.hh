@@ -21,8 +21,8 @@ namespace mem {
 
 /**
  * Parse a level spec into a LevelConfig.  @p context prefixes the
- * one-line error message (e.g. "job file line 12: 'icache'" or
- * "riscsim: --icache"); @throws FatalError on a malformed spec.
+ * one-line error message (e.g. "job file line 12: 'l1i'" or
+ * "riscsim: --l1i"); @throws FatalError on a malformed spec.
  * Geometry is validated later, when the Level is constructed.
  */
 LevelConfig parseLevelSpec(const std::string &spec,

@@ -94,7 +94,7 @@ TEST(MachineIcache, DisabledByDefault)
 TEST(MachineIcache, LoopsHitAfterWarmup)
 {
     MachineConfig cfg;
-    cfg.icache = mem::LevelConfig{1024, 16, 4};
+    cfg.caches.l1i = mem::LevelConfig{1024, 16, 4};
     Machine m(cfg);
     test::loadAsm(m, R"(
 start:  clr   r1
@@ -121,7 +121,7 @@ TEST(MachineIcache, MissPenaltyChargedToCycles)
     plain.run();
 
     MachineConfig cfg;
-    cfg.icache = mem::LevelConfig{64, 16, 10};
+    cfg.caches.l1i = mem::LevelConfig{64, 16, 10};
     Machine cached(cfg);
     test::loadAsm(cached, src);
     cached.run();
@@ -137,7 +137,7 @@ TEST(MachineIcache, ResultsUnchangedAcrossCacheSizes)
 {
     for (const std::uint32_t size : {64u, 256u, 4096u}) {
         MachineConfig cfg;
-        cfg.icache = mem::LevelConfig{size, 16, 6};
+        cfg.caches.l1i = mem::LevelConfig{size, 16, 6};
         const RiscRun run =
             runRiscWorkload(findWorkload("sieve"), cfg);
         EXPECT_EQ(run.checksum, findWorkload("sieve").expected)
@@ -151,7 +151,7 @@ TEST(MachineIcache, LargeCacheBeatsTinyCache)
     // compare only the extremes, where the gap is unambiguous.)
     auto missesWith = [](std::uint32_t size) {
         MachineConfig cfg;
-        cfg.icache = mem::LevelConfig{size, 16, 6};
+        cfg.caches.l1i = mem::LevelConfig{size, 16, 6};
         Machine m(cfg);
         test::loadAsm(m, findWorkload("fib_rec").riscSource);
         m.run();
@@ -179,7 +179,7 @@ loop:   ldl   r4, (r2)
     plain.run();
 
     MachineConfig cfg;
-    cfg.dcache = mem::LevelConfig{128, 16, 7};
+    cfg.caches.l1d = mem::LevelConfig{128, 16, 7};
     Machine cached(cfg);
     test::loadAsm(cached, src);
     cached.run();
@@ -196,7 +196,7 @@ TEST(MachineDcache, SpillTrafficBypassesDcache)
 {
     MachineConfig cfg;
     cfg.windows.numWindows = 2;     // recursion spills constantly
-    cfg.dcache = mem::LevelConfig{256, 16, 7};
+    cfg.caches.l1d = mem::LevelConfig{256, 16, 7};
     Machine m(cfg);
     test::loadAsm(m, R"(
 start:  ldi   r10, 12

@@ -118,11 +118,11 @@ TEST(FastPath, AllWorkloads)
 
 TEST(FastPath, WorkloadsUnderCachesAndAblation)
 {
-    // Exercise the icache/dcache accounting and the no-window ablation
+    // Exercise the L1I/L1D accounting and the no-window ablation
     // through both paths (fib_rec covers window traffic).
     MachineConfig cached;
-    cached.icache = mem::LevelConfig{512, 16, 8};
-    cached.dcache = mem::LevelConfig{256, 16, 10};
+    cached.caches.l1i = mem::LevelConfig{512, 16, 8};
+    cached.caches.l1d = mem::LevelConfig{256, 16, 10};
     MachineConfig soft;
     soft.windowedCalls = false;
 

@@ -64,7 +64,7 @@ mixedJobs()
         SimJob cached;
         cached.id = std::string(id) + "/icache";
         cached.source = w.riscSource;
-        cached.config.risc.icache = mem::LevelConfig{256, 16, 4};
+        cached.config.risc.caches.l1i = mem::LevelConfig{256, 16, 4};
         cached.expected = w.expected;
         jobs.push_back(std::move(cached));
 
@@ -207,7 +207,7 @@ TEST(SimEngine, SnapshotForkMatchesFreshRun)
     // Fork the same prologue onto a cache-equipped sweep point too.
     SimJob forkedCached = forked;
     forkedCached.id = "forked-icache";
-    forkedCached.config.risc.icache = mem::LevelConfig{512, 16, 4};
+    forkedCached.config.risc.caches.l1i = mem::LevelConfig{512, 16, 4};
 
     const auto results =
         sim::runBatch({fresh, forked, forkedCached}, {2});
@@ -302,7 +302,7 @@ machine  = cisc
 id       = c
 workload = hanoi
 windowed = false
-icache   = 1024,16,4
+l1i      = 1024,16,4
 maxsteps = 12345
 expect   = 7
 )");
@@ -318,8 +318,8 @@ expect   = 7
 
     EXPECT_EQ(jobs[2].id, "c");
     EXPECT_FALSE(jobs[2].config.risc.windowedCalls);
-    ASSERT_TRUE(jobs[2].config.risc.icache.has_value());
-    EXPECT_EQ(jobs[2].config.risc.icache->sizeBytes, 1024u);
+    ASSERT_TRUE(jobs[2].config.risc.caches.l1i.has_value());
+    EXPECT_EQ(jobs[2].config.risc.caches.l1i->sizeBytes, 1024u);
     EXPECT_EQ(jobs[2].maxSteps, 12345u);
     EXPECT_EQ(jobs[2].expected, 7u);
 }
@@ -336,6 +336,10 @@ TEST(JobFile, RejectsMalformedInput)
                                    "windows = banana\n"),
                  FatalError);
     EXPECT_THROW(sim::parseJobText("[job]\nworkload = no_such\n"),
+                 FatalError);
+    // The legacy icache/dcache aliases are gone; l1i/l1d replace them.
+    EXPECT_THROW(sim::parseJobText("[job]\nworkload = fib_rec\n"
+                                   "icache = 1024,16,4\n"),
                  FatalError);
 }
 

@@ -124,8 +124,8 @@ TEST(Snapshot, RoundTripWithCaches)
 {
     const Workload &w = findWorkload("sieve");
     MachineConfig config;
-    config.icache = mem::LevelConfig{256, 16, 4};
-    config.dcache = mem::LevelConfig{512, 16, 4};
+    config.caches.l1i = mem::LevelConfig{256, 16, 4};
+    config.caches.l1d = mem::LevelConfig{512, 16, 4};
     checkRoundTripAt(w.riscSource, config, 2000);
 
     // Cache hit/miss totals must survive the round trip too.
@@ -230,7 +230,7 @@ TEST(Snapshot, RestoreRejectsMismatchedGeometry)
 TEST(Snapshot, MismatchedCacheRestartsCold)
 {
     MachineConfig cached;
-    cached.icache = mem::LevelConfig{256, 16, 4};
+    cached.caches.l1i = mem::LevelConfig{256, 16, 4};
     Machine a(cached);
     test::loadAsm(a, R"(
 start:  clr   r1
@@ -250,7 +250,7 @@ loop:   add   r1, r1, r2
     // Same run forked onto a machine with a *different* i-cache: the
     // architectural state transfers, the cache starts cold.
     MachineConfig other;
-    other.icache = mem::LevelConfig{1024, 32, 8};
+    other.caches.l1i = mem::LevelConfig{1024, 32, 8};
     Machine b(other);
     b.restore(snap);
     EXPECT_EQ(b.icacheStats().accesses(), 0u);
