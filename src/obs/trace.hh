@@ -15,7 +15,8 @@
  * Cost model: tracing is always compiled in as one pointer test per
  * instruction in each backend's shared per-instruction code, so a
  * machine with no Trace installed pays that test on either tier —
- * `bench/bench_dispatch` guards the fast path's steps/sec.  With a
+ * perfbench's `core.fast_ns_per_instr` and `vax.fast_ns_per_instr`
+ * measure the fast path's cost per instruction.  With a
  * Trace installed both tiers record every instruction in decode order
  * (see docs/OBSERVABILITY.md).
  *
