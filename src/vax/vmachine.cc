@@ -739,8 +739,7 @@ VaxMachine::raiseDecodeFault(const PredecodePayload &p)
         fatal(cat("illegal opcode byte 0x", std::hex,
                   static_cast<int>(last), " at pc 0x", p.next - 1));
       case DecodeFault::Mode:
-        // vaxSpecCycles() rejects the nibble itself, before the fatal.
-        stats_.cycles += vaxSpecCycles(static_cast<VaxMode>(last >> 4));
+        // An illegal nibble has no specifier cost to charge.
         fatal(cat("illegal addressing mode nibble 0x", std::hex,
                   static_cast<int>(last >> 4)));
       case DecodeFault::AutoIncDef:

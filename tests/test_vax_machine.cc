@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/logging.hh"
 #include "vax/vassembler.hh"
+#include "vax/visa.hh"
 #include "vax/vmachine.hh"
 
 namespace risc1 {
@@ -304,6 +307,43 @@ TEST(VaxMachine, IllegalOpcodeRejected)
     m.memory().pokeByte(0x1000, 0xff);
     m.reset(0x1000);
     EXPECT_THROW(m.step(), FatalError);
+}
+
+TEST(VaxMachine, IllegalModeNibbleFaultsOnBothTiers)
+{
+    // Specifier nibbles 4, b, d and f (index and the displacement
+    // deferred modes) are not modelled.  Each must raise the
+    // illegal-mode FatalError, charging no cycles for the specifier,
+    // with the same state left behind by step() and runFast().
+    const Program prog = assembleVax("start: movl r1, r2\nhalt\n");
+    for (const unsigned nibble : {0x4u, 0xbu, 0xdu, 0xfu}) {
+        SCOPED_TRACE(nibble);
+        VaxMachine slow;
+        VaxMachine fast;
+        for (VaxMachine *m : {&slow, &fast}) {
+            m->loadProgram(prog);
+            m->memory().pokeByte(prog.entry + 1,
+                                 std::uint8_t(nibble << 4 | 1));
+        }
+        std::ostringstream want;
+        want << "illegal addressing mode nibble 0x" << std::hex << nibble;
+        try {
+            slow.step();
+            ADD_FAILURE() << "step() did not fault";
+        } catch (const FatalError &e) {
+            EXPECT_EQ(e.what(), want.str());
+        }
+        try {
+            fast.runFast(10);
+            ADD_FAILURE() << "runFast() did not fault";
+        } catch (const FatalError &e) {
+            EXPECT_EQ(e.what(), want.str());
+        }
+        // MOVL's base cost only: the bad specifier adds nothing.
+        EXPECT_EQ(slow.stats().cycles,
+                  vaxOpcodeInfo(*vaxOpcodeFromMnemonic("movl"))->baseCycles);
+        EXPECT_TRUE(slow.snapshot() == fast.snapshot());
+    }
 }
 
 TEST(VaxMachine, RetWithoutFrameRejected)
