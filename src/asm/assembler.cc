@@ -3,7 +3,7 @@
 #include <optional>
 #include <vector>
 
-#include "asm/parser.hh"
+#include "asm/twopass.hh"
 #include "common/bitfield.hh"
 #include "common/logging.hh"
 #include "isa/instruction.hh"
@@ -73,48 +73,99 @@ splitImmediate(std::int64_t value)
     return s;
 }
 
-class RiscAssembler
+/** RISC I instruction operand kinds. */
+enum class OperandKind : std::uint8_t
+{
+    Reg,   ///< register rN
+    Expr,  ///< symbolic expression
+    Mem,   ///< expr(rN) memory reference
+};
+
+/** One parsed RISC I instruction operand. */
+struct Operand
+{
+    OperandKind kind = OperandKind::Expr;
+    unsigned reg = 0;  ///< Reg / Mem base register
+    Expr expr;         ///< Expr / Mem displacement
+};
+
+/** RISC I syntax for the shared two-pass driver (asm/twopass.hh). */
+class RiscSyntax
 {
   public:
-    RiscAssembler(const std::string &source, const AsmOptions &options)
-        : options_(options), stmts_(parseRiscSource(source))
-    {}
+    using Operand = risc1::Operand;
+    using Stmt = AsmStmt<Operand>;
 
-    Program
-    assemble()
+    /** Instructions and .org are word-aligned. */
+    static constexpr std::uint32_t align = 4;
+
+    static constexpr auto regName = parseRegName;
+
+    /** One operand: register, expr(rN), (rN), or expr. */
+    static Operand
+    parseOperand(TokenCursor &cur)
     {
-        passOne();
-        passTwo();
-        resolveEntry();
-        return std::move(program_);
+        Operand op;
+        if (cur.peek().kind == TokKind::Ident) {
+            if (auto reg = parseRegName(cur.peek().text)) {
+                cur.get();
+                op.kind = OperandKind::Reg;
+                op.reg = *reg;
+                return op;
+            }
+        }
+        // "(rN)" has an implicit zero displacement.
+        op.expr = cur.peek().kind == TokKind::LParen ? Expr::constant(0)
+                                                      : cur.parseExpr();
+        if (cur.peek().kind == TokKind::LParen) {
+            op.kind = OperandKind::Mem;
+            op.reg = parseParenReg(cur, parseRegName);
+        }
+        return op;
+    }
+
+    explicit RiscSyntax(const SymbolTable &symbols) : symbols_(symbols) {}
+
+    /** Pass 1: bytes the statement expands to. */
+    unsigned
+    size(Stmt &stmt)
+    {
+        if (stmt.mnemonic[0] == '.')
+            unknownMnemonic(stmt);
+        return 4 * instructionWords(stmt);
+    }
+
+    /** Pass 2: append the machine words; returns their count. */
+    unsigned
+    encode(const Stmt &stmt, std::vector<std::uint8_t> &out)
+    {
+        // For multi-word pseudos the later words' '.' would shift;
+        // expansion uses stmt.address for all of them.
+        const auto insts = expand(stmt);
+        for (const auto &inst : insts) {
+            const std::uint32_t w = inst.encode();
+            for (unsigned i = 0; i < 4; ++i)
+                out.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
+        }
+        return static_cast<unsigned>(insts.size());
     }
 
   private:
-    // -- Error helper ---------------------------------------------------
-    [[noreturn]] void
-    err(const Stmt &stmt, const std::string &msg)
-    {
-        fatal(cat("line ", stmt.line, ": ", msg));
-    }
-
     // -- Operand interpretation ------------------------------------------
     unsigned
     wantReg(const Stmt &stmt, std::size_t idx)
     {
         if (idx >= stmt.operands.size() ||
             stmt.operands[idx].kind != OperandKind::Reg)
-            err(stmt, cat("operand ", idx + 1, " of '", stmt.mnemonic,
-                          "' must be a register"));
+            asmError(stmt, cat("operand ", idx + 1, " of '", stmt.mnemonic,
+                               "' must be a register"));
         return stmt.operands[idx].reg;
     }
 
     std::int64_t
     evalExpr(const Stmt &stmt, const Expr &expr)
     {
-        for (const auto &t : expr.terms)
-            if (t.isSymbol && !symbols_.contains(t.symbol))
-                err(stmt, cat("undefined symbol '", t.symbol, "'"));
-        return expr.eval(symbols_, stmt.address);
+        return evalAt(symbols_, stmt, expr);
     }
 
     Cond
@@ -126,16 +177,16 @@ class RiscAssembler
                 if (auto cond = condFromName(*sym))
                     return *cond;
         }
-        err(stmt, cat("operand ", idx + 1, " of '", stmt.mnemonic,
-                      "' must be a condition (alw, eq, ne, ...)"));
+        asmError(stmt, cat("operand ", idx + 1, " of '", stmt.mnemonic,
+                           "' must be a condition (alw, eq, ne, ...)"));
     }
 
     std::int32_t
     checkImm13(const Stmt &stmt, std::int64_t value)
     {
         if (!fitsSigned(value, 13))
-            err(stmt, cat("immediate ", value,
-                          " does not fit in 13 bits"));
+            asmError(stmt, cat("immediate ", value,
+                               " does not fit in 13 bits"));
         return static_cast<std::int32_t>(value);
     }
 
@@ -143,8 +194,8 @@ class RiscAssembler
     checkImm19(const Stmt &stmt, std::int64_t value)
     {
         if (!fitsSigned(value, 19))
-            err(stmt, cat("offset ", value,
-                          " does not fit in 19 bits (too far?)"));
+            asmError(stmt, cat("offset ", value,
+                               " does not fit in 19 bits (too far?)"));
         return static_cast<std::int32_t>(value);
     }
 
@@ -159,7 +210,7 @@ class RiscAssembler
             inst.imm = true;
             inst.simm13 = checkImm13(stmt, evalExpr(stmt, op.expr));
         } else {
-            err(stmt, "bad s2 operand (register or expression expected)");
+            asmError(stmt, "bad s2 operand (register or expression expected)");
         }
     }
 
@@ -172,11 +223,11 @@ class RiscAssembler
     applyAddress(const Stmt &stmt, Instruction &inst, std::size_t idx)
     {
         if (idx >= stmt.operands.size())
-            err(stmt, "missing address operand");
+            asmError(stmt, "missing address operand");
         const Operand &op = stmt.operands[idx];
         if (op.kind == OperandKind::Mem) {
             if (idx + 1 != stmt.operands.size())
-                err(stmt, "trailing operands after address");
+                asmError(stmt, "trailing operands after address");
             inst.rs1 = static_cast<std::uint8_t>(op.reg);
             inst.imm = true;
             inst.simm13 = checkImm13(stmt, evalExpr(stmt, op.expr));
@@ -190,8 +241,8 @@ class RiscAssembler
             inst.rs1 = static_cast<std::uint8_t>(op.reg);
             applyS2(stmt, inst, stmt.operands[idx + 1]);
         } else {
-            err(stmt, "bad address operand: use off(rN), rN, s2, or "
-                      "an absolute expression");
+            asmError(stmt, "bad address operand: use off(rN), rN, s2, or "
+                           "an absolute expression");
         }
     }
 
@@ -199,7 +250,7 @@ class RiscAssembler
 
     /** Number of machine words a statement expands to (pass 1). */
     unsigned
-    instructionWords(Stmt &stmt)
+    instructionWords(const Stmt &stmt)
     {
         const std::string &m = stmt.mnemonic;
         if (m == "ldi" || m == "mov") {
@@ -228,8 +279,8 @@ class RiscAssembler
         std::vector<Instruction> out;
         auto countIs = [&](std::size_t n) {
             if (stmt.operands.size() != n)
-                err(stmt, cat("'", m, "' takes ", n, " operand(s), got ",
-                              stmt.operands.size()));
+                asmError(stmt, cat("'", m, "' takes ", n, " operand(s), got ",
+                                   stmt.operands.size()));
         };
 
         // ---- ALU (with scc suffix handling) ----
@@ -268,7 +319,7 @@ class RiscAssembler
             if (stmt.operands.size() == 2)
                 amount = evalExpr(stmt, stmt.operands[1].expr);
             else if (stmt.operands.size() != 1)
-                err(stmt, cat("'", m, "' takes 1 or 2 operands"));
+                asmError(stmt, cat("'", m, "' takes 1 or 2 operands"));
             out.push_back(Instruction::aluImm(
                 m == "inc" ? Opcode::Add : Opcode::Sub, rd, rd,
                 checkImm13(stmt, amount)));
@@ -306,8 +357,8 @@ class RiscAssembler
                 return out;
             }
             if (stmt.operands[1].kind != OperandKind::Expr)
-                err(stmt, "second operand of ldi/mov must be a register "
-                          "or expression");
+                asmError(stmt, "second operand of ldi/mov must be a register "
+                               "or expression");
             const std::int64_t value =
                 evalExpr(stmt, stmt.operands[1].expr);
             if (stmt.size == 4) {
@@ -324,7 +375,7 @@ class RiscAssembler
         if (auto cond = branchPseudo(m)) {
             countIs(1);
             if (stmt.operands[0].kind != OperandKind::Expr)
-                err(stmt, "branch target must be an expression");
+                asmError(stmt, "branch target must be an expression");
             const std::int64_t target =
                 evalExpr(stmt, stmt.operands[0].expr);
             out.push_back(Instruction::jmpr(
@@ -344,7 +395,7 @@ class RiscAssembler
         }
         const auto opOpt = opcodeFromMnemonic(m);
         if (!opOpt)
-            err(stmt, cat("unknown mnemonic '", m, "'"));
+            unknownMnemonic(stmt);
         const Opcode op = *opOpt;
         const OpcodeInfo *info = opcodeInfo(op);
 
@@ -377,7 +428,7 @@ class RiscAssembler
             countIs(2);
             inst.rd = static_cast<std::uint8_t>(wantCond(stmt, 0));
             if (stmt.operands[1].kind != OperandKind::Expr)
-                err(stmt, "jmpr target must be an expression");
+                asmError(stmt, "jmpr target must be an expression");
             const std::int64_t target =
                 evalExpr(stmt, stmt.operands[1].expr);
             inst.imm19 = checkImm19(stmt, target - stmt.address);
@@ -401,7 +452,7 @@ class RiscAssembler
             countIs(2);
             inst.rd = static_cast<std::uint8_t>(wantReg(stmt, 0));
             if (stmt.operands[1].kind != OperandKind::Expr)
-                err(stmt, "callr target must be an expression");
+                asmError(stmt, "callr target must be an expression");
             const std::int64_t target =
                 evalExpr(stmt, stmt.operands[1].expr);
             inst.imm19 = checkImm19(stmt, target - stmt.address);
@@ -417,7 +468,7 @@ class RiscAssembler
                 break;
             }
             if (stmt.operands.size() != 2)
-                err(stmt, cat("'", m, "' takes 0 or 2 operands"));
+                asmError(stmt, cat("'", m, "' takes 0 or 2 operands"));
             inst.rs1 = static_cast<std::uint8_t>(wantReg(stmt, 0));
             applyS2(stmt, inst, stmt.operands[1]);
             break;
@@ -432,252 +483,22 @@ class RiscAssembler
             inst.rs1 = static_cast<std::uint8_t>(wantReg(stmt, 0));
             break;
           default:
-            err(stmt, cat("mnemonic '", m, "' (", info->mnemonic,
-                          ") needs ALU operand form"));
+            asmError(stmt, cat("mnemonic '", m, "' (", info->mnemonic,
+                               ") needs ALU operand form"));
         }
         out.push_back(inst);
         return out;
     }
 
-    // -- Directive sizing and emission -------------------------------------
-
-    /** Size in bytes of a directive (pass 1). */
-    unsigned
-    directiveSize(Stmt &stmt, std::uint32_t addr)
-    {
-        const std::string &m = stmt.mnemonic;
-        if (m == ".word")
-            return 4 * static_cast<unsigned>(stmt.operands.size());
-        if (m == ".half")
-            return 2 * static_cast<unsigned>(stmt.operands.size());
-        if (m == ".byte")
-            return static_cast<unsigned>(stmt.operands.size());
-        if (m == ".space") {
-            if (stmt.operands.size() != 1 ||
-                !stmt.operands[0].expr.resolvable(symbols_))
-                err(stmt, ".space needs one resolvable expression");
-            const std::int64_t n =
-                stmt.operands[0].expr.eval(symbols_, addr);
-            if (n < 0)
-                err(stmt, ".space with negative size");
-            return static_cast<unsigned>(n);
-        }
-        if (m == ".ascii" || m == ".asciz") {
-            unsigned total = 0;
-            for (const auto &op : stmt.operands) {
-                if (op.kind != OperandKind::Str)
-                    err(stmt, cat(m, " takes string operands"));
-                total += static_cast<unsigned>(op.str.size());
-                if (m == ".asciz")
-                    total += 1;
-            }
-            return total;
-        }
-        if (m == ".align") {
-            if (stmt.operands.size() != 1 ||
-                !stmt.operands[0].expr.resolvable(symbols_))
-                err(stmt, ".align needs one resolvable expression");
-            const std::int64_t a =
-                stmt.operands[0].expr.eval(symbols_, addr);
-            if (a <= 0 || (a & (a - 1)) != 0)
-                err(stmt, ".align needs a power of two");
-            const auto align = static_cast<std::uint32_t>(a);
-            return (align - (addr % align)) % align;
-        }
-        // .org/.equ/.entry/.end_marker occupy no space.
-        return 0;
-    }
-
-    // -- Passes -----------------------------------------------------------
-
-    void
-    passOne()
-    {
-        std::uint32_t addr = options_.defaultOrg;
-        for (auto &stmt : stmts_) {
-            // Handle location-changing directives before labels bind.
-            if (stmt.type == Stmt::Type::Directive &&
-                stmt.mnemonic == ".org") {
-                if (stmt.operands.size() != 1 ||
-                    !stmt.operands[0].expr.resolvable(symbols_))
-                    err(stmt, ".org needs one resolvable expression");
-                const std::int64_t a =
-                    stmt.operands[0].expr.eval(symbols_, addr);
-                if (a < 0 || a % 4 != 0)
-                    err(stmt, ".org address must be non-negative and "
-                              "word-aligned");
-                addr = static_cast<std::uint32_t>(a);
-            }
-
-            stmt.address = addr;
-            for (const auto &label : stmt.labels) {
-                if (symbols_.contains(label))
-                    err(stmt, cat("duplicate label '", label, "'"));
-                symbols_[label] = addr;
-            }
-
-            if (stmt.type == Stmt::Type::Directive) {
-                if (stmt.mnemonic == ".equ") {
-                    if (stmt.operands.size() != 2)
-                        err(stmt, ".equ takes: name, expression");
-                    const auto name =
-                        stmt.operands[0].expr.asBareSymbol();
-                    if (!name)
-                        err(stmt, ".equ first operand must be a name");
-                    if (!stmt.operands[1].expr.resolvable(symbols_))
-                        err(stmt, ".equ expression must be resolvable");
-                    if (symbols_.contains(*name))
-                        err(stmt, cat("duplicate symbol '", *name, "'"));
-                    symbols_[*name] = static_cast<std::uint32_t>(
-                        stmt.operands[1].expr.eval(symbols_, addr));
-                    stmt.size = 0;
-                } else if (stmt.mnemonic == ".org" ||
-                           stmt.mnemonic == ".entry" ||
-                           stmt.mnemonic == ".end_marker") {
-                    stmt.size = 0;
-                } else if (stmt.mnemonic == ".word" ||
-                           stmt.mnemonic == ".half" ||
-                           stmt.mnemonic == ".byte" ||
-                           stmt.mnemonic == ".space" ||
-                           stmt.mnemonic == ".ascii" ||
-                           stmt.mnemonic == ".asciz" ||
-                           stmt.mnemonic == ".align") {
-                    stmt.size = directiveSize(stmt, addr);
-                } else {
-                    err(stmt, cat("unknown directive '", stmt.mnemonic,
-                                  "'"));
-                }
-            } else {
-                if (addr % 4 != 0)
-                    err(stmt, "instruction at unaligned address");
-                stmt.size = 4 * instructionWords(stmt);
-            }
-            addr += stmt.size;
-        }
-    }
-
-    void
-    emit(std::uint32_t addr, SegmentKind kind,
-         const std::vector<std::uint8_t> &bytes)
-    {
-        if (bytes.empty())
-            return;
-        Segment *seg = program_.segments.empty()
-                           ? nullptr
-                           : &program_.segments.back();
-        if (!seg || seg->kind != kind ||
-            seg->base + seg->bytes.size() != addr) {
-            program_.segments.push_back(Segment{addr, kind, {}});
-            seg = &program_.segments.back();
-        }
-        seg->bytes.insert(seg->bytes.end(), bytes.begin(), bytes.end());
-    }
-
-    static void
-    appendWord(std::vector<std::uint8_t> &bytes, std::uint32_t w)
-    {
-        bytes.push_back(static_cast<std::uint8_t>(w));
-        bytes.push_back(static_cast<std::uint8_t>(w >> 8));
-        bytes.push_back(static_cast<std::uint8_t>(w >> 16));
-        bytes.push_back(static_cast<std::uint8_t>(w >> 24));
-    }
-
-    void
-    passTwo()
-    {
-        for (auto &stmt : stmts_) {
-            std::vector<std::uint8_t> bytes;
-            if (stmt.type == Stmt::Type::Instruction) {
-                const auto insts = expand(stmt);
-                if (insts.size() * 4 != stmt.size)
-                    panic(cat("line ", stmt.line,
-                              ": pass disagreement on statement size"));
-                // For multi-word pseudos the later words' '.' would
-                // shift; expansion already used stmt.address for all.
-                for (const auto &inst : insts)
-                    appendWord(bytes, inst.encode());
-                program_.staticInstructions += insts.size();
-                emit(stmt.address, SegmentKind::Code, bytes);
-                continue;
-            }
-
-            const std::string &m = stmt.mnemonic;
-            if (m == ".word") {
-                if (stmt.address % 4 != 0)
-                    err(stmt, ".word at unaligned address (use .align)");
-                for (const auto &op : stmt.operands)
-                    appendWord(bytes, static_cast<std::uint32_t>(
-                                           evalExpr(stmt, op.expr)));
-            } else if (m == ".half") {
-                if (stmt.address % 2 != 0)
-                    err(stmt, ".half at unaligned address (use .align)");
-                for (const auto &op : stmt.operands) {
-                    const auto v = static_cast<std::uint32_t>(
-                        evalExpr(stmt, op.expr));
-                    bytes.push_back(static_cast<std::uint8_t>(v));
-                    bytes.push_back(static_cast<std::uint8_t>(v >> 8));
-                }
-            } else if (m == ".byte") {
-                for (const auto &op : stmt.operands)
-                    bytes.push_back(static_cast<std::uint8_t>(
-                        evalExpr(stmt, op.expr)));
-            } else if (m == ".space" || m == ".align") {
-                bytes.assign(stmt.size, 0);
-            } else if (m == ".ascii" || m == ".asciz") {
-                for (const auto &op : stmt.operands) {
-                    bytes.insert(bytes.end(), op.str.begin(),
-                                 op.str.end());
-                    if (m == ".asciz")
-                        bytes.push_back(0);
-                }
-            } else if (m == ".entry") {
-                if (stmt.operands.size() != 1)
-                    err(stmt, ".entry takes one expression");
-                entry_ = static_cast<std::uint32_t>(
-                    evalExpr(stmt, stmt.operands[0].expr));
-            }
-            emit(stmt.address, SegmentKind::Data, bytes);
-        }
-        program_.symbols = symbols_;
-    }
-
-    void
-    resolveEntry()
-    {
-        if (entry_) {
-            program_.entry = *entry_;
-            return;
-        }
-        for (const char *name : {"start", "main", "_start"}) {
-            const auto it = symbols_.find(name);
-            if (it != symbols_.end()) {
-                program_.entry = it->second;
-                return;
-            }
-        }
-        for (const auto &seg : program_.segments) {
-            if (seg.kind == SegmentKind::Code) {
-                program_.entry = seg.base;
-                return;
-            }
-        }
-        fatal("program has no code and no entry point");
-    }
-
-    AsmOptions options_;
-    std::vector<Stmt> stmts_;
-    std::map<std::string, std::uint32_t> symbols_;
-    std::optional<std::uint32_t> entry_;
-    Program program_;
+    const SymbolTable &symbols_;
 };
 
 } // namespace
 
 Program
-assembleRisc(const std::string &source, const AsmOptions &options)
+assembleRisc(const std::string &source)
 {
-    RiscAssembler assembler(source, options);
-    return assembler.assemble();
+    return assembleWith<RiscSyntax>(source);
 }
 
 } // namespace risc1

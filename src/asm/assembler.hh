@@ -22,8 +22,9 @@
  * halt, call <label>, ret (no operands), and b<cond> <label> for every
  * jump condition.
  *
- * Directives: .org .word .half .byte .space .ascii .asciz .align .equ
- * .entry
+ * Directives: the shared set of asm/twopass.hh (.org .word .half
+ * .byte .space .ascii .asciz .align .equ .entry); instructions and
+ * .org are word-aligned.
  */
 
 #ifndef RISC1_ASM_ASSEMBLER_HH
@@ -35,19 +36,11 @@
 
 namespace risc1 {
 
-/** Assembler options. */
-struct AsmOptions
-{
-    /** Load address used before the first .org. */
-    std::uint32_t defaultOrg = 0x1000;
-};
-
 /**
  * Assemble RISC I source text into a program image.
  * @throws FatalError with line information on any error.
  */
-Program assembleRisc(const std::string &source,
-                     const AsmOptions &options = AsmOptions{});
+Program assembleRisc(const std::string &source);
 
 } // namespace risc1
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Statement-level parser for the RISC I assembler: turns the token
- * stream into an AST of labels, directives, and instructions with
- * symbolic expression operands.  The CISC assembler reuses Expr and the
- * token cursor but has its own operand grammar.
+ * The operand-level pieces both assemblers parse with: the token
+ * cursor, symbolic expressions, and RISC I register names.  The
+ * statement loop and the directives are in asm/twopass.hh; each ISA's
+ * instruction operand grammar is in its own assembler.
  */
 
 #ifndef RISC1_ASM_PARSER_HH
@@ -54,41 +54,6 @@ struct Expr
     std::optional<std::string> asBareSymbol() const;
 };
 
-/** Operand kinds in statement ASTs. */
-enum class OperandKind : std::uint8_t
-{
-    Reg,    ///< register rN
-    Expr,   ///< symbolic expression
-    Mem,    ///< expr(rN) memory reference
-    Str,    ///< string literal
-};
-
-/** One parsed operand. */
-struct Operand
-{
-    OperandKind kind = OperandKind::Expr;
-    unsigned reg = 0;   ///< Reg / Mem base register
-    Expr expr;          ///< Expr / Mem displacement
-    std::string str;    ///< Str
-};
-
-/** One parsed statement (a line may hold a label plus a statement). */
-struct Stmt
-{
-    enum class Type : std::uint8_t { Instruction, Directive };
-
-    int line = 0;
-    Type type = Type::Instruction;
-    std::string mnemonic;           ///< lowercase, scc suffix stripped
-    bool scc = false;               ///< trailing 's' was present
-    std::vector<Operand> operands;
-    std::vector<std::string> labels;  ///< labels defined at this address
-
-    // Filled in by the assembler's first pass:
-    std::uint32_t address = 0;
-    unsigned size = 0;
-};
-
 /**
  * Token cursor with the shared helpers both assemblers use.
  */
@@ -102,6 +67,13 @@ class TokenCursor
     const Token &peek() const { return tokens_[pos_]; }
     const Token &get() { return tokens_[pos_++]; }
     bool atEnd() const { return peek().kind == TokKind::End; }
+
+    /** True at the end of a line or of the input. */
+    bool
+    atLineEnd() const
+    {
+        return peek().kind == TokKind::Newline || atEnd();
+    }
 
     /** Consume a token of @p kind or fail with a message. */
     Token expect(TokKind kind, const char *what);
@@ -123,11 +95,11 @@ class TokenCursor
 /** Parse a register name ("r0".."r31"); nullopt when not a register. */
 std::optional<unsigned> parseRegName(const std::string &name);
 
-/**
- * Parse RISC I assembly source into statements.
- * @throws FatalError with line info on syntax errors.
- */
-std::vector<Stmt> parseRiscSource(const std::string &source);
+/** An ISA's register-name lookup, such as parseRegName. */
+using RegName = std::optional<unsigned> (*)(const std::string &);
+
+/** Parse "(reg)", naming registers with @p regName; fail otherwise. */
+unsigned parseParenReg(TokenCursor &cur, RegName regName);
 
 } // namespace risc1
 

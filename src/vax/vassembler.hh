@@ -21,9 +21,10 @@
  * (rN)+, -(rN), expr(rN), @expr (absolute), bare expr (absolute, or a
  * branch displacement for branch opcodes).
  *
- * Directives: the common set (.org .word .half .byte .space .ascii
- * .asciz .align .equ .entry) plus `.mask <expr>` emitting the 16-bit
- * procedure entry mask CALLS expects.
+ * Directives: the shared set of asm/twopass.hh (.org .word .half
+ * .byte .space .ascii .asciz .align .equ .entry), with nothing
+ * aligned (.org takes any address), plus `.mask <expr>` emitting the
+ * 16-bit procedure entry mask CALLS expects into the code.
  */
 
 #ifndef RISC1_VAX_VASSEMBLER_HH
@@ -35,18 +36,11 @@
 
 namespace risc1 {
 
-/** Options for the baseline assembler. */
-struct VaxAsmOptions
-{
-    std::uint32_t defaultOrg = 0x1000;
-};
-
 /**
  * Assemble baseline (CISC) source into a program image.
  * @throws FatalError with line information on any error.
  */
-Program assembleVax(const std::string &source,
-                    const VaxAsmOptions &options = VaxAsmOptions{});
+Program assembleVax(const std::string &source);
 
 } // namespace risc1
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "asm/assembler.hh"
 #include "common/logging.hh"
 #include "helpers.hh"
@@ -104,6 +108,91 @@ TEST(AsmEdges, NegativeOrgRejected)
     EXPECT_THROW(assembleRisc(".org 0 - 4\nstart: halt\n"),
                  FatalError);
     EXPECT_THROW(assembleRisc(".org 2\nstart: halt\n"), FatalError);
+}
+
+/** The shared directive rules, checked on each ISA by name. */
+class SharedDirectiveRules : public ::testing::TestWithParam<const char *>
+{
+  protected:
+    Program
+    assemble(const std::string &source) const
+    {
+        return std::string(GetParam()) == "risc" ? assembleRisc(source)
+                                                 : assembleVax(source);
+    }
+};
+
+TEST_P(SharedDirectiveRules, NegativeSpaceOrgAndAlignFail)
+{
+    // Cast to 32 bits these would allocate 4 GiB, allocate 2 GiB, and
+    // wrap the location counter to 0xfffffffc.
+    EXPECT_THROW(assemble("start: halt\n.space 0 - 4\n"), FatalError);
+    EXPECT_THROW(assemble("start: halt\n.align 0 - 2147483648\n"),
+                 FatalError);
+    EXPECT_THROW(assemble(".org 0 - 4\nstart: halt\n"), FatalError);
+    EXPECT_THROW(assemble("start: halt\n.align 0\n"), FatalError);
+}
+
+TEST_P(SharedDirectiveRules, ValuesBeyond32BitsFail)
+{
+    // A 2^32 alignment once truncated to 0 and divided by it.
+    EXPECT_THROW(assemble("start: halt\n.align 0x100000000\n"),
+                 FatalError);
+    EXPECT_THROW(assemble(".org 0x100001000\nstart: halt\n"),
+                 FatalError);
+    EXPECT_THROW(assemble("start: halt\n.space 0x100000004\n"),
+                 FatalError);
+}
+
+TEST_P(SharedDirectiveRules, OperandsOfTheWrongKindFail)
+{
+    EXPECT_THROW(assemble("start: halt\n.word r5\n"), FatalError);
+    EXPECT_THROW(assemble("start: halt\n.word 4(r1)\n"), FatalError);
+    EXPECT_THROW(assemble("start: halt\n.word \"ab\"\n"), FatalError);
+    EXPECT_THROW(assemble("start: halt\n.space \"ab\"\n"), FatalError);
+    EXPECT_THROW(assemble(".entry \"ab\"\nstart: halt\n"), FatalError);
+    EXPECT_THROW(assemble(".equ r5, 3\nstart: halt\n"), FatalError);
+    EXPECT_THROW(assemble("start: halt\n.ascii 3\n"), FatalError);
+    EXPECT_THROW(assemble("start: halt\n.bogus 3\n"), FatalError);
+}
+
+TEST_P(SharedDirectiveRules, SameDataOnBothIsas)
+{
+    const Program p = assemble(R"(
+start:  halt
+        .align 4
+data:   .word 0x11223344, data
+        .half 0x5566
+        .byte 0x77, -1
+        .ascii "ab"
+        .asciz "c"
+        .space 2
+end:
+)");
+    const std::uint32_t data = p.symbol("data");
+    EXPECT_EQ(data % 4, 0u);
+    EXPECT_EQ(p.symbol("end"), data + 8 + 2 + 2 + 2 + 2 + 2);
+    EXPECT_EQ(p.dataBytes(), p.symbol("end") - p.symbol("start") -
+                                 p.codeBytes());
+    ASSERT_EQ(p.segments.back().kind, SegmentKind::Data);
+    const auto &bytes = p.segments.back().bytes;
+    const std::vector<std::uint8_t> tail = {
+        0x44, 0x33, 0x22, 0x11, static_cast<std::uint8_t>(data),
+        static_cast<std::uint8_t>(data >> 8), 0, 0, 0x66, 0x55, 0x77,
+        0xff, 'a', 'b', 'c', 0, 0, 0};
+    ASSERT_GE(bytes.size(), tail.size());
+    EXPECT_TRUE(std::equal(tail.begin(), tail.end(),
+                           bytes.end() - static_cast<long>(tail.size())));
+}
+
+INSTANTIATE_TEST_SUITE_P(BothIsas, SharedDirectiveRules,
+                         ::testing::Values("risc", "vax"));
+
+TEST(AsmEdges, VaxOrgTakesAnyAddress)
+{
+    // RISC I code is word-aligned; VAX code is byte-granular.
+    EXPECT_EQ(assembleVax(".org 0x2001\nstart: halt\n").entry, 0x2001u);
+    EXPECT_THROW(assembleRisc(".org 0x2001\nstart: halt\n"), FatalError);
 }
 
 TEST(AsmEdges, ExpressionsInOperands)

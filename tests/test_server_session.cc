@@ -185,6 +185,21 @@ TEST(ServerSession, OverflowingDivideInClientSourceRunsCleanly)
     cleanupSpool(cfg);
 }
 
+TEST(ServerSession, NegativeSpaceInClientSourceIsRefused)
+{
+    // `.space 0 - 4` once became a 4 GiB allocation inside `create`.
+    const auto cfg = testConfig("space");
+    {
+        Service service(cfg);
+        Driver d(service);
+        d.err("{\"cmd\":\"create\",\"backend\":\"vax\","
+              "\"source\":\"start: halt\\n.space 0 - 4\\n\"}");
+        EXPECT_EQ(service.sessions().counts().sessions, 0u);
+        d.ok("{\"cmd\":\"ping\"}");
+    }
+    cleanupSpool(cfg);
+}
+
 TEST(ServerSession, StepPeekRegsStats)
 {
     const auto cfg = testConfig("sprs");
