@@ -3,53 +3,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <unordered_map>
 
 #include "common/logging.hh"
 
 namespace risc1 {
-
-JsonValue
-JsonValue::makeBool(bool b)
-{
-    JsonValue v;
-    v.kind_ = Kind::Bool;
-    v.bool_ = b;
-    return v;
-}
-
-JsonValue
-JsonValue::makeNumber(double n)
-{
-    JsonValue v;
-    v.kind_ = Kind::Number;
-    v.num_ = n;
-    return v;
-}
-
-JsonValue
-JsonValue::makeString(std::string s)
-{
-    JsonValue v;
-    v.kind_ = Kind::String;
-    v.str_ = std::move(s);
-    return v;
-}
-
-JsonValue
-JsonValue::makeArray()
-{
-    JsonValue v;
-    v.kind_ = Kind::Array;
-    return v;
-}
-
-JsonValue
-JsonValue::makeObject()
-{
-    JsonValue v;
-    v.kind_ = Kind::Object;
-    return v;
-}
 
 std::string_view
 JsonValue::kindName(Kind kind)
@@ -165,35 +123,11 @@ JsonValue::boolOr(std::string_view key, bool fallback) const
     return v ? v->asBool() : fallback;
 }
 
-void
-JsonValue::append(JsonValue v)
-{
-    if (kind_ != Kind::Array)
-        wrongKind("array", kind_);
-    items_.push_back(std::move(v));
-}
-
-void
-JsonValue::set(std::string_view key, JsonValue v)
-{
-    if (kind_ != Kind::Object)
-        wrongKind("object", kind_);
-    for (auto &[k, existing] : members_) {
-        if (k == key) {
-            existing = std::move(v);
-            return;
-        }
-    }
-    members_.emplace_back(std::string(key), std::move(v));
-}
-
-namespace {
-
 /** Recursive-descent parser over a bounded input span. */
-class Parser
+class JsonParser
 {
   public:
-    Parser(std::string_view text, unsigned maxDepth)
+    JsonParser(std::string_view text, unsigned maxDepth)
         : text_(text), maxDepth_(maxDepth)
     {
     }
@@ -267,17 +201,21 @@ class Parser
             return parseObject(depth);
           case '[':
             return parseArray(depth);
-          case '"':
-            return JsonValue::makeString(parseString());
+          case '"': {
+            JsonValue v(JsonValue::Kind::String);
+            v.str_ = parseString();
+            return v;
+          }
           case 't':
-            expectLiteral("true");
-            return JsonValue::makeBool(true);
-          case 'f':
-            expectLiteral("false");
-            return JsonValue::makeBool(false);
+          case 'f': {
+            JsonValue v(JsonValue::Kind::Bool);
+            v.bool_ = peek() == 't';
+            expectLiteral(v.bool_ ? "true" : "false");
+            return v;
+          }
           case 'n':
             expectLiteral("null");
-            return JsonValue::makeNull();
+            return JsonValue{};
           default:
             return parseNumber();
         }
@@ -287,7 +225,11 @@ class Parser
     parseObject(unsigned depth)
     {
         expect('{');
-        JsonValue obj = JsonValue::makeObject();
+        JsonValue obj(JsonValue::Kind::Object);
+        auto &members = obj.members_;
+        // Key -> position, built once the object outgrows a linear
+        // scan, so a repeated key costs O(1) however many came before.
+        std::unordered_map<std::string, std::size_t> index;
         skipWs();
         if (consume('}'))
             return obj;
@@ -298,7 +240,11 @@ class Parser
             std::string key = parseString();
             skipWs();
             expect(':');
-            obj.set(key, parseValue(depth + 1));
+            JsonValue value = parseValue(depth + 1);
+            if (JsonValue *slot = existing(members, index, key))
+                *slot = std::move(value);
+            else
+                members.emplace_back(std::move(key), std::move(value));
             skipWs();
             if (consume(','))
                 continue;
@@ -307,16 +253,36 @@ class Parser
         }
     }
 
+    /** The member already holding @p key, or nullptr for a new key. */
+    static JsonValue *
+    existing(std::vector<JsonValue::Member> &members,
+             std::unordered_map<std::string, std::size_t> &index,
+             const std::string &key)
+    {
+        constexpr std::size_t kLinearScan = 16;
+        if (members.size() < kLinearScan) {
+            for (auto &[k, v] : members)
+                if (k == key)
+                    return &v;
+            return nullptr;
+        }
+        if (index.empty())
+            for (std::size_t i = 0; i < members.size(); ++i)
+                index.emplace(members[i].first, i);
+        const auto [it, fresh] = index.try_emplace(key, members.size());
+        return fresh ? nullptr : &members[it->second].second;
+    }
+
     JsonValue
     parseArray(unsigned depth)
     {
         expect('[');
-        JsonValue arr = JsonValue::makeArray();
+        JsonValue arr(JsonValue::Kind::Array);
         skipWs();
         if (consume(']'))
             return arr;
         while (true) {
-            arr.append(parseValue(depth + 1));
+            arr.items_.push_back(parseValue(depth + 1));
             skipWs();
             if (consume(','))
                 continue;
@@ -451,7 +417,9 @@ class Parser
         const double d = std::strtod(token.c_str(), &end);
         if (end != token.c_str() + token.size() || errno == ERANGE)
             err(cat("bad number '", token, "'"));
-        return JsonValue::makeNumber(d);
+        JsonValue v(JsonValue::Kind::Number);
+        v.num_ = d;
+        return v;
     }
 
     std::string_view text_;
@@ -459,12 +427,10 @@ class Parser
     unsigned maxDepth_;
 };
 
-} // namespace
-
 JsonValue
 parseJson(std::string_view text, unsigned maxDepth)
 {
-    return Parser(text, maxDepth).parseDocument();
+    return JsonParser(text, maxDepth).parseDocument();
 }
 
 } // namespace risc1

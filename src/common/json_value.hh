@@ -39,14 +39,8 @@ class JsonValue
 
     using Member = std::pair<std::string, JsonValue>;
 
+    /** A null; every other value comes from parseJson(). */
     JsonValue() = default;
-
-    static JsonValue makeNull() { return JsonValue{}; }
-    static JsonValue makeBool(bool b);
-    static JsonValue makeNumber(double n);
-    static JsonValue makeString(std::string s);
-    static JsonValue makeArray();
-    static JsonValue makeObject();
 
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
@@ -94,17 +88,14 @@ class JsonValue
     /** Member @p key as a bool, or @p fallback. */
     bool boolOr(std::string_view key, bool fallback) const;
 
-    // -- Mutation (for building requests/responses in code) ------------
-    /** Append to an array value. @throws FatalError otherwise. */
-    void append(JsonValue v);
-
-    /** Set an object member (replacing an existing key). */
-    void set(std::string_view key, JsonValue v);
-
     /** Human-readable kind name ("object", "number", ...). */
     static std::string_view kindName(Kind kind);
 
   private:
+    friend class JsonParser;
+
+    explicit JsonValue(Kind kind) : kind_(kind) {}
+
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double num_ = 0.0;
@@ -115,7 +106,9 @@ class JsonValue
 
 /**
  * Parse one complete JSON document from @p text (trailing
- * non-whitespace is an error).  @p maxDepth bounds container nesting so
+ * non-whitespace is an error).  A key repeated within an object keeps
+ * its first position and takes its last value; parse time stays
+ * linear in the number of keys.  @p maxDepth bounds container nesting so
  * adversarial input cannot exhaust the stack.  @throws FatalError with
  * a byte offset on malformed input.
  */
