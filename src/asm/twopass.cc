@@ -8,8 +8,6 @@ namespace risc1 {
 
 namespace {
 
-constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
-
 Directive
 directiveOf(std::string_view m)
 {
@@ -104,15 +102,19 @@ AsmCore::define(const StmtHead &stmt, const std::string &name,
         asmError(stmt, cat("duplicate symbol '", name, "'"));
 }
 
-std::int64_t
-AsmCore::knownArg(const StmtHead &stmt)
+std::uint32_t
+AsmCore::knownU32(const StmtHead &stmt)
 {
     if (stmt.args.size() != 1 || stmt.args[0].isStr ||
         !stmt.args[0].expr.resolvable(symbols))
         asmError(stmt, cat(stmt.mnemonic,
                            " needs one expression of symbols defined "
                            "above it"));
-    return stmt.args[0].expr.eval(symbols, stmt.address);
+    const std::int64_t v = stmt.args[0].expr.eval(symbols, stmt.address);
+    if (v < 0 || v > std::numeric_limits<std::uint32_t>::max())
+        asmError(stmt, cat(stmt.mnemonic, " value ", v,
+                           " is not a non-negative 32-bit value"));
+    return static_cast<std::uint32_t>(v);
 }
 
 std::int64_t
@@ -129,11 +131,10 @@ AsmCore::place(StmtHead &stmt, std::uint32_t addr)
 {
     stmt.address = addr;
     if (stmt.directive == Directive::Org) {
-        const std::int64_t a = knownArg(stmt);
-        if (a < 0 || a > kMaxU32 || a % align_ != 0)
-            asmError(stmt, cat(".org address must be a 32-bit multiple "
-                               "of ", align_));
-        stmt.address = static_cast<std::uint32_t>(a);
+        stmt.address = knownU32(stmt);
+        if (stmt.address % align_ != 0)
+            asmError(stmt, cat(".org address must be a multiple of ",
+                               align_));
     }
     for (const auto &label : stmt.labels)
         define(stmt, label, stmt.address);
@@ -169,20 +170,14 @@ AsmCore::place(StmtHead &stmt, std::uint32_t addr)
       case Directive::Byte:
         stmt.size = n;
         break;
-      case Directive::Space: {
-        const std::int64_t size = knownArg(stmt);
-        if (size < 0 || size > kMaxU32)
-            asmError(stmt, ".space size must be a non-negative 32-bit "
-                           "value");
-        stmt.size = static_cast<unsigned>(size);
+      case Directive::Space:
+        stmt.size = knownU32(stmt);
         break;
-      }
       case Directive::Align: {
-        const std::int64_t a = knownArg(stmt);
-        if (a <= 0 || a > kMaxU32 || (a & (a - 1)) != 0)
-            asmError(stmt, ".align needs a 32-bit power of two");
-        const auto align = static_cast<std::uint32_t>(a);
-        stmt.size = (align - stmt.address % align) % align;
+        const std::uint32_t a = knownU32(stmt);
+        if (a == 0 || (a & (a - 1)) != 0)
+            asmError(stmt, ".align needs a power of two");
+        stmt.size = (a - stmt.address % a) % a;
         break;
       }
       case Directive::Ascii:

@@ -157,7 +157,7 @@ class AsmCore
   private:
     void define(const StmtHead &stmt, const std::string &name,
                 std::uint32_t value);
-    std::int64_t knownArg(const StmtHead &stmt);
+    std::uint32_t knownU32(const StmtHead &stmt);
     std::int64_t valueOf(const StmtHead &stmt, const DirArg &arg) const;
 
     std::uint32_t align_;

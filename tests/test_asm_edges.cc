@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
-#include <vector>
 
 #include "asm/assembler.hh"
 #include "common/logging.hh"
@@ -156,44 +154,8 @@ TEST_P(SharedDirectiveRules, OperandsOfTheWrongKindFail)
     EXPECT_THROW(assemble("start: halt\n.bogus 3\n"), FatalError);
 }
 
-TEST_P(SharedDirectiveRules, SameDataOnBothIsas)
-{
-    const Program p = assemble(R"(
-start:  halt
-        .align 4
-data:   .word 0x11223344, data
-        .half 0x5566
-        .byte 0x77, -1
-        .ascii "ab"
-        .asciz "c"
-        .space 2
-end:
-)");
-    const std::uint32_t data = p.symbol("data");
-    EXPECT_EQ(data % 4, 0u);
-    EXPECT_EQ(p.symbol("end"), data + 8 + 2 + 2 + 2 + 2 + 2);
-    EXPECT_EQ(p.dataBytes(), p.symbol("end") - p.symbol("start") -
-                                 p.codeBytes());
-    ASSERT_EQ(p.segments.back().kind, SegmentKind::Data);
-    const auto &bytes = p.segments.back().bytes;
-    const std::vector<std::uint8_t> tail = {
-        0x44, 0x33, 0x22, 0x11, static_cast<std::uint8_t>(data),
-        static_cast<std::uint8_t>(data >> 8), 0, 0, 0x66, 0x55, 0x77,
-        0xff, 'a', 'b', 'c', 0, 0, 0};
-    ASSERT_GE(bytes.size(), tail.size());
-    EXPECT_TRUE(std::equal(tail.begin(), tail.end(),
-                           bytes.end() - static_cast<long>(tail.size())));
-}
-
 INSTANTIATE_TEST_SUITE_P(BothIsas, SharedDirectiveRules,
                          ::testing::Values("risc", "vax"));
-
-TEST(AsmEdges, VaxOrgTakesAnyAddress)
-{
-    // RISC I code is word-aligned; VAX code is byte-granular.
-    EXPECT_EQ(assembleVax(".org 0x2001\nstart: halt\n").entry, 0x2001u);
-    EXPECT_THROW(assembleRisc(".org 0x2001\nstart: halt\n"), FatalError);
-}
 
 TEST(AsmEdges, ExpressionsInOperands)
 {
