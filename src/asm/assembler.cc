@@ -89,7 +89,7 @@ struct Operand
     Expr expr;         ///< Expr / Mem displacement
 };
 
-/** RISC I syntax for the shared two-pass driver (asm/twopass.hh). */
+/** RISC I syntax for the shared two-pass assembler (asm/twopass.hh). */
 class RiscSyntax
 {
   public:

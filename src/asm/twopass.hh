@@ -1,6 +1,6 @@
 /**
  * @file
- * The two-pass assembler driver both ISAs share.
+ * The two-pass assembler both ISAs share.
  *
  * Everything about assembly that does not depend on the instruction
  * set is written once here: the statement loop (labels, stacked

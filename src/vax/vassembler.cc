@@ -155,7 +155,7 @@ parseVOperand(TokenCursor &cur)
     return op;
 }
 
-/** VAX syntax for the shared two-pass driver (asm/twopass.hh). */
+/** VAX syntax for the shared two-pass assembler (asm/twopass.hh). */
 class VaxSyntax
 {
   public:
