@@ -227,8 +227,8 @@ class JsonParser
         expect('{');
         JsonValue obj(JsonValue::Kind::Object);
         auto &members = obj.members_;
-        // Key -> position, built once the object outgrows a linear
-        // scan, so a repeated key costs O(1) however many came before.
+        // Key -> position, so a repeated key costs O(1) however many
+        // came before.
         std::unordered_map<std::string, std::size_t> index;
         skipWs();
         if (consume('}'))
@@ -241,36 +241,17 @@ class JsonParser
             skipWs();
             expect(':');
             JsonValue value = parseValue(depth + 1);
-            if (JsonValue *slot = existing(members, index, key))
-                *slot = std::move(value);
-            else
+            const auto [it, fresh] = index.try_emplace(key, members.size());
+            if (fresh)
                 members.emplace_back(std::move(key), std::move(value));
+            else
+                members[it->second].second = std::move(value);
             skipWs();
             if (consume(','))
                 continue;
             expect('}');
             return obj;
         }
-    }
-
-    /** The member already holding @p key, or nullptr for a new key. */
-    static JsonValue *
-    existing(std::vector<JsonValue::Member> &members,
-             std::unordered_map<std::string, std::size_t> &index,
-             const std::string &key)
-    {
-        constexpr std::size_t kLinearScan = 16;
-        if (members.size() < kLinearScan) {
-            for (auto &[k, v] : members)
-                if (k == key)
-                    return &v;
-            return nullptr;
-        }
-        if (index.empty())
-            for (std::size_t i = 0; i < members.size(); ++i)
-                index.emplace(members[i].first, i);
-        const auto [it, fresh] = index.try_emplace(key, members.size());
-        return fresh ? nullptr : &members[it->second].second;
     }
 
     JsonValue

@@ -88,8 +88,8 @@ TEST(JsonValue, RoundTripsWriterOutput)
 
 TEST(JsonValue, RepeatedKeyKeepsFirstPositionAndLastValue)
 {
-    // Small objects scan their keys; larger ones index them.  Both
-    // must merge a repeated key the same way.
+    // A repeated key merges the same way after one earlier key or
+    // after many.
     for (const int filler : {0, 40}) {
         std::string text = R"({"a":1,"b":2)";
         for (int i = 0; i < filler; ++i)
