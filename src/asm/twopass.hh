@@ -24,6 +24,8 @@
  *
  * Every statement that is not a shared directive belongs to the ISA:
  * its instructions, and any directive of its own (the VAX `.mask`).
+ * An ISA directive's operands are in stmt.args, parsed with the
+ * shared directive grammar; an instruction's are in stmt.operands.
  * size() sees the symbols defined so far; encode() appends exactly
  * that many bytes and returns how many instructions they hold.  ISA
  * bytes form Code segments, shared-directive bytes Data segments.
@@ -88,7 +90,7 @@ struct StmtHead
     std::string mnemonic;             ///< lowercase
     Directive directive = Directive::Isa;
     std::vector<std::string> labels;  ///< bound to this address
-    std::vector<DirArg> args;         ///< a shared directive's operands
+    std::vector<DirArg> args;         ///< a directive's operands
     std::uint32_t address = 0;        ///< set in pass 1
     unsigned size = 0;                ///< bytes, set in pass 1
 };
@@ -120,7 +122,10 @@ std::int64_t evalAt(const SymbolTable &symbols, const StmtHead &stmt,
 void beginStatement(StmtHead &stmt, const Token &mnemonic,
                     std::vector<std::string> &labels);
 
-/** Parse a shared directive's operands into @p stmt.args. */
+/**
+ * Parse a directive's operands into @p stmt.args; every directive,
+ * shared or the ISA's own, uses this grammar.
+ */
 void parseDirectiveArgs(TokenCursor &cur, StmtHead &stmt);
 
 /** Fail unless the statement ends here; consume nothing. */
@@ -183,7 +188,7 @@ parseStatements(const std::string &source)
         }
         auto &stmt = stmts.emplace_back();
         beginStatement(stmt, tok, labels);
-        if (stmt.directive != Directive::Isa) {
+        if (stmt.mnemonic[0] == '.') {
             parseDirectiveArgs(cur, stmt);
         } else if (!cur.atLineEnd()) {
             do

@@ -178,10 +178,10 @@ class VaxSyntax
     size(Stmt &stmt)
     {
         if (stmt.mnemonic == ".mask") {
-            for (const auto &op : stmt.operands)
-                if (op.shape != VShape::Bare)
-                    asmError(stmt, ".mask takes expressions");
-            return 2 * static_cast<unsigned>(stmt.operands.size());
+            for (const auto &arg : stmt.args)
+                if (arg.isStr)
+                    asmError(stmt, ".mask takes expressions, not strings");
+            return 2 * static_cast<unsigned>(stmt.args.size());
         }
         const auto opOpt = vaxOpcodeFromMnemonic(stmt.mnemonic);
         if (!opOpt)
@@ -205,8 +205,8 @@ class VaxSyntax
     encode(const Stmt &stmt, std::vector<std::uint8_t> &out)
     {
         if (stmt.mnemonic == ".mask") {
-            for (const auto &op : stmt.operands) {
-                const std::int64_t v = evalAt(symbols_, stmt, op.expr);
+            for (const auto &arg : stmt.args) {
+                const std::int64_t v = evalAt(symbols_, stmt, arg.expr);
                 out.push_back(static_cast<std::uint8_t>(v));
                 out.push_back(static_cast<std::uint8_t>(v >> 8));
             }

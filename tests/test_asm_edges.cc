@@ -189,6 +189,27 @@ nums:   .byte 1, 2, 255
     EXPECT_EQ(vm.memory().peekByte(prog.symbol("nums") + 2), 255);
 }
 
+TEST(AsmEdges, VaxMaskUsesTheDirectiveExpressionGrammar)
+{
+    // A leading '-' negates only the first term, as in every other
+    // directive: -1 + 2 is 1, and -a + b is b - a.
+    const Program prog = assembleVax(R"(
+        .equ a, 2
+        .equ b, 7
+func:   .mask -1 + 2, -a + b
+        halt
+)");
+    ASSERT_EQ(prog.segments.size(), 1u);
+    const auto &seg = prog.segments[0];
+    EXPECT_EQ(seg.kind, SegmentKind::Code);
+    ASSERT_GE(seg.bytes.size(), 4u);
+    EXPECT_EQ(seg.bytes[0], 0x01);
+    EXPECT_EQ(seg.bytes[1], 0x00);
+    EXPECT_EQ(seg.bytes[2], 0x05);
+    EXPECT_EQ(seg.bytes[3], 0x00);
+    EXPECT_THROW(assembleVax("f: .mask \"ab\"\n"), FatalError);
+}
+
 TEST(AsmEdges, VaxShortLiteralBoundary)
 {
     // 63 fits the 1-byte short-literal form; 64 needs an immediate.
