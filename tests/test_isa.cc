@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "isa/instruction.hh"
+#include "helpers.hh"
 
 namespace risc1 {
 namespace {
@@ -18,6 +21,115 @@ TEST(Isa, ThirtyOneOpcodes)
             ++legal;
     EXPECT_EQ(legal, 31);
     EXPECT_EQ(numOpcodes, 31);
+}
+
+/**
+ * Every opcode's facts, written out by hand in table order so the
+ * opcode list is checked against values that do not come from it.
+ * The operand columns are what one execution adds to the
+ * register-operand counters, with a register s2 (imm = 0) and with an
+ * immediate s2 (imm = 1); a call's count includes the return-address
+ * write doCall() adds.
+ */
+struct OpcodeFacts
+{
+    const char *mnemonic;
+    unsigned value;
+    Format format;
+    InstClass cls;
+    bool rdIsCond;
+    bool maySetCc;
+    unsigned readsReg;  ///< regOperandReads added with imm = 0
+    unsigned readsImm;  ///< regOperandReads added with imm = 1
+    unsigned writes;    ///< regOperandWrites added
+    bool delaySlot;     ///< the next instruction is a delay slot
+};
+
+constexpr Format S = Format::Short;
+constexpr Format L = Format::Long;
+using IC = InstClass;
+
+constexpr OpcodeFacts kFacts[] = {
+    {"add",    0x01, S, IC::Alu,     false, true,  2, 1, 1, false},
+    {"addc",   0x02, S, IC::Alu,     false, true,  2, 1, 1, false},
+    {"sub",    0x03, S, IC::Alu,     false, true,  2, 1, 1, false},
+    {"subc",   0x04, S, IC::Alu,     false, true,  2, 1, 1, false},
+    {"subr",   0x05, S, IC::Alu,     false, true,  2, 1, 1, false},
+    {"subcr",  0x06, S, IC::Alu,     false, true,  2, 1, 1, false},
+    {"and",    0x07, S, IC::Alu,     false, true,  2, 1, 1, false},
+    {"or",     0x08, S, IC::Alu,     false, true,  2, 1, 1, false},
+    {"xor",    0x09, S, IC::Alu,     false, true,  2, 1, 1, false},
+    {"sll",    0x0a, S, IC::Alu,     false, true,  2, 1, 1, false},
+    {"srl",    0x0b, S, IC::Alu,     false, true,  2, 1, 1, false},
+    {"sra",    0x0c, S, IC::Alu,     false, true,  2, 1, 1, false},
+    {"ldhi",   0x10, L, IC::Alu,     false, true,  0, 0, 1, false},
+    {"ldl",    0x11, S, IC::Load,    false, false, 2, 1, 1, false},
+    {"ldsu",   0x12, S, IC::Load,    false, false, 2, 1, 1, false},
+    {"ldss",   0x13, S, IC::Load,    false, false, 2, 1, 1, false},
+    {"ldbu",   0x14, S, IC::Load,    false, false, 2, 1, 1, false},
+    {"ldbs",   0x15, S, IC::Load,    false, false, 2, 1, 1, false},
+    {"stl",    0x19, S, IC::Store,   false, false, 3, 2, 0, false},
+    {"sts",    0x1a, S, IC::Store,   false, false, 3, 2, 0, false},
+    {"stb",    0x1b, S, IC::Store,   false, false, 3, 2, 0, false},
+    {"jmp",    0x20, S, IC::Jump,    true,  false, 2, 1, 0, true},
+    {"jmpr",   0x21, L, IC::Jump,    true,  false, 0, 0, 0, true},
+    {"call",   0x22, S, IC::CallRet, false, false, 2, 1, 2, true},
+    {"callr",  0x23, L, IC::CallRet, false, false, 0, 0, 2, true},
+    {"ret",    0x24, S, IC::CallRet, false, false, 2, 1, 0, true},
+    {"calli",  0x25, S, IC::CallRet, false, false, 0, 0, 2, false},
+    {"reti",   0x26, S, IC::CallRet, false, false, 2, 1, 0, true},
+    {"gtlpc",  0x28, S, IC::Special, false, false, 0, 0, 1, false},
+    {"getpsw", 0x29, S, IC::Special, false, false, 0, 0, 1, false},
+    {"putpsw", 0x2a, S, IC::Special, false, false, 1, 1, 0, false},
+};
+
+TEST(Isa, OpcodeTableMatchesPinnedFacts)
+{
+    ASSERT_EQ(std::size(kFacts), static_cast<std::size_t>(numOpcodes));
+    for (int i = 0; i < numOpcodes; ++i) {
+        const OpcodeFacts &f = kFacts[i];
+        const OpcodeInfo &info = allOpcodes()[i];
+        SCOPED_TRACE(f.mnemonic);
+        EXPECT_EQ(info.mnemonic, f.mnemonic);
+        EXPECT_EQ(static_cast<unsigned>(info.op), f.value);
+        EXPECT_EQ(info.format, f.format);
+        EXPECT_EQ(info.cls, f.cls);
+        EXPECT_EQ(info.rdIsCond, f.rdIsCond);
+        EXPECT_EQ(info.maySetCc, f.maySetCc);
+        EXPECT_EQ(opcodeInfo(static_cast<Opcode>(f.value)), &info);
+    }
+}
+
+TEST(Isa, OperandTrafficAndDelaySlotMatchPinnedFacts)
+{
+    for (const OpcodeFacts &f : kFacts) {
+        for (const bool imm : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << f.mnemonic << " imm=" << imm);
+            // Every other field is 0: operands are r0, addresses and
+            // register targets 0.  A long-format Y of 8 keeps a taken
+            // JMPR from halting on itself.
+            Instruction inst;
+            inst.op = static_cast<Opcode>(f.value);
+            inst.imm = imm;
+            if (f.format == Format::Long)
+                inst.imm19 = 8;
+            // A call and its slot first, so RET and RETI have a frame.
+            Machine m;
+            test::loadRaw(m, {Instruction::callr(31, 8), Instruction::nop(),
+                              inst},
+                          false);
+            m.step();
+            m.step();
+            const RunStats before = m.stats();
+            m.step();
+            EXPECT_EQ(m.stats().regOperandReads - before.regOperandReads,
+                      imm ? f.readsImm : f.readsReg);
+            EXPECT_EQ(m.stats().regOperandWrites - before.regOperandWrites,
+                      f.writes);
+            EXPECT_EQ(m.snapshot().inDelaySlot, f.delaySlot);
+        }
+    }
 }
 
 TEST(Isa, MnemonicLookupRoundTrip)

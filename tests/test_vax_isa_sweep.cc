@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "vax/vassembler.hh"
@@ -78,6 +79,110 @@ sampleStatements()
         {"pushr", "pushr #6"},
         {"popr", "popr #6"},
     };
+}
+
+/**
+ * Every row of the opcode table, written out by hand in table order so
+ * the table is checked against values that do not come from it.
+ */
+struct VaxFacts
+{
+    unsigned byte;
+    const char *mnemonic;
+    VaxClass cls;
+    unsigned baseCycles;
+    std::vector<VaxOpndUse> uses;
+};
+
+std::vector<VaxFacts>
+pinnedFacts()
+{
+    using U = VaxOpndUse;
+    using C = VaxClass;
+    return {
+        {0x00, "halt", C::Misc, 2, {}},
+        {0x01, "nop", C::Misc, 2, {}},
+        {0x10, "movl", C::Move, 2, {U::Read, U::Write}},
+        {0x11, "movb", C::Move, 2, {U::ReadByte, U::WriteByte}},
+        {0x12, "movw", C::Move, 2, {U::ReadHalf, U::WriteHalf}},
+        {0x13, "moval", C::Move, 2, {U::Address, U::Write}},
+        {0x14, "movzbl", C::Move, 2, {U::ReadByte, U::Write}},
+        {0x15, "movzwl", C::Move, 2, {U::ReadHalf, U::Write}},
+        {0x16, "clrl", C::Move, 2, {U::Write}},
+        {0x17, "pushl", C::Move, 3, {U::Read}},
+        {0x18, "mnegl", C::Alu, 3, {U::Read, U::Write}},
+        {0x19, "mcoml", C::Alu, 3, {U::Read, U::Write}},
+        {0x20, "addl2", C::Alu, 3, {U::Read, U::Modify}},
+        {0x21, "addl3", C::Alu, 3, {U::Read, U::Read, U::Write}},
+        {0x22, "subl2", C::Alu, 3, {U::Read, U::Modify}},
+        {0x23, "subl3", C::Alu, 3, {U::Read, U::Read, U::Write}},
+        {0x24, "mull2", C::Alu, 15, {U::Read, U::Modify}},
+        {0x25, "mull3", C::Alu, 15, {U::Read, U::Read, U::Write}},
+        {0x26, "divl2", C::Alu, 25, {U::Read, U::Modify}},
+        {0x27, "divl3", C::Alu, 25, {U::Read, U::Read, U::Write}},
+        {0x28, "incl", C::Alu, 3, {U::Modify}},
+        {0x29, "decl", C::Alu, 3, {U::Modify}},
+        {0x2a, "bisl2", C::Alu, 3, {U::Read, U::Modify}},
+        {0x2b, "bicl2", C::Alu, 3, {U::Read, U::Modify}},
+        {0x2c, "xorl2", C::Alu, 3, {U::Read, U::Modify}},
+        {0x2d, "ashl", C::Alu, 6, {U::Read, U::Read, U::Write}},
+        {0x2e, "cmpl", C::Alu, 3, {U::Read, U::Read}},
+        {0x2f, "tstl", C::Alu, 2, {U::Read}},
+        {0x30, "cmpb", C::Alu, 3, {U::ReadByte, U::ReadByte}},
+        {0x40, "brb", C::Branch, 4, {U::Branch8}},
+        {0x41, "brw", C::Branch, 4, {U::Branch16}},
+        {0x42, "beql", C::Branch, 3, {U::Branch8}},
+        {0x43, "bneq", C::Branch, 3, {U::Branch8}},
+        {0x44, "blss", C::Branch, 3, {U::Branch8}},
+        {0x45, "bleq", C::Branch, 3, {U::Branch8}},
+        {0x46, "bgtr", C::Branch, 3, {U::Branch8}},
+        {0x47, "bgeq", C::Branch, 3, {U::Branch8}},
+        {0x48, "blssu", C::Branch, 3, {U::Branch8}},
+        {0x49, "blequ", C::Branch, 3, {U::Branch8}},
+        {0x4a, "bgtru", C::Branch, 3, {U::Branch8}},
+        {0x4b, "bgequ", C::Branch, 3, {U::Branch8}},
+        {0x4c, "bvs", C::Branch, 3, {U::Branch8}},
+        {0x4d, "bvc", C::Branch, 3, {U::Branch8}},
+        {0x4e, "jmp", C::Branch, 4, {U::Address}},
+        {0x50, "sobgtr", C::Loop, 5, {U::Modify, U::Branch8}},
+        {0x51, "sobgeq", C::Loop, 5, {U::Modify, U::Branch8}},
+        {0x52, "aoblss", C::Loop, 6, {U::Read, U::Modify, U::Branch8}},
+        {0x53, "aobleq", C::Loop, 6, {U::Read, U::Modify, U::Branch8}},
+        {0x60, "calls", C::CallRet, 15, {U::Read, U::Address}},
+        {0x61, "ret", C::CallRet, 12, {}},
+        {0x62, "jsb", C::CallRet, 5, {U::Address}},
+        {0x63, "rsb", C::CallRet, 5, {}},
+        {0x64, "pushr", C::CallRet, 4, {U::Read}},
+        {0x65, "popr", C::CallRet, 4, {U::Read}},
+    };
+}
+
+TEST(VaxIsaSweep, TableMatchesPinnedFacts)
+{
+    std::size_t count = 0;
+    const VaxOpInfo *all = vaxAllOpcodes(count);
+    const auto facts = pinnedFacts();
+    ASSERT_EQ(count, facts.size());
+    std::size_t legal = 0;
+    for (unsigned b = 0; b < 256; ++b)
+        legal += vaxOpcodeInfo(static_cast<VaxOpcode>(b)) != nullptr;
+    EXPECT_EQ(legal, facts.size());
+    for (std::size_t i = 0; i < count; ++i) {
+        const VaxFacts &f = facts[i];
+        const VaxOpInfo &info = all[i];
+        SCOPED_TRACE(f.mnemonic);
+        EXPECT_EQ(static_cast<unsigned>(info.op), f.byte);
+        EXPECT_EQ(info.mnemonic, f.mnemonic);
+        EXPECT_EQ(info.cls, f.cls);
+        EXPECT_EQ(info.baseCycles, f.baseCycles);
+        ASSERT_EQ(info.numOperands, f.uses.size());
+        for (std::size_t k = 0; k < f.uses.size(); ++k)
+            EXPECT_EQ(info.operands[k], f.uses[k]) << "operand " << k;
+        const VaxOpInfo *byByte =
+            vaxOpcodeInfo(static_cast<VaxOpcode>(f.byte));
+        ASSERT_NE(byByte, nullptr);
+        EXPECT_EQ(byByte->mnemonic, f.mnemonic);
+    }
 }
 
 TEST(VaxIsaSweep, EveryOpcodeHasASample)
