@@ -1,6 +1,7 @@
 #include "core/machine.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
@@ -307,57 +308,6 @@ Machine::doReturn(std::uint32_t target, bool isInterrupt)
         (regs_.cwp() + resident_) % config_.windows.numWindows);
 }
 
-namespace {
-
-/**
- * Register-operand traffic one instruction contributes to the
- * operand-locality counters; the predecoder stores it in the
- * DecodedInst.
- */
-void
-operandCounts(const Instruction &inst, const OpcodeInfo *info,
-              unsigned &reads, unsigned &writes)
-{
-    reads = 0;
-    writes = 0;
-    switch (info->cls) {
-      case InstClass::Alu:
-        if (inst.op == Opcode::Ldhi) {
-            writes = 1;
-        } else {
-            reads = 1 + (inst.imm ? 0 : 1);
-            writes = 1;
-        }
-        break;
-      case InstClass::Load:
-        reads = 1 + (inst.imm ? 0 : 1);
-        writes = 1;
-        break;
-      case InstClass::Store:
-        reads = 2 + (inst.imm ? 0 : 1);
-        break;
-      case InstClass::Jump:
-        if (inst.op == Opcode::Jmp)
-            reads = 1 + (inst.imm ? 0 : 1);
-        break;
-      case InstClass::CallRet:
-        if (inst.op == Opcode::Call || inst.op == Opcode::Ret ||
-            inst.op == Opcode::Reti)
-            reads = 1 + (inst.imm ? 0 : 1);
-        if (inst.op != Opcode::Ret && inst.op != Opcode::Reti)
-            writes = 1;
-        break;
-      case InstClass::Special:
-        if (inst.op == Opcode::Putpsw)
-            reads = 1;
-        else
-            writes = 1;
-        break;
-    }
-}
-
-} // namespace
-
 void
 Machine::raiseInterrupt(std::uint32_t vector)
 {
@@ -401,8 +351,9 @@ Machine::maybeAcceptInterrupt()
 }
 
 /**
- * The opcode handlers: one monomorphic function per opcode, resolved
- * once at predecode time and dispatched through a function pointer by
+ * The opcode handlers: one monomorphic function per opcode, of the
+ * family its RISC1_OPCODES row names, looked up once at predecode
+ * time (handlerByValue) and dispatched through a function pointer by
  * both step() and runFast().  Each handler is the one definition of
  * its opcode's semantics — operand reads, memory traffic, counters,
  * cycle charges and fault points.
@@ -533,46 +484,22 @@ struct OpHandlers
             m.psw_.unpackUserBits(m.regs_.read(inst.rs1));
         m.stats_.cycles += m.config_.timing.specialCycles;
     }
-
-    /** Resolve the handler for a (legal) opcode. */
-    static void (*resolve(Opcode op))(Machine &, const DecodedInst &)
-    {
-        switch (op) {
-          case Opcode::Add:    return &alu<Opcode::Add>;
-          case Opcode::Addc:   return &alu<Opcode::Addc>;
-          case Opcode::Sub:    return &alu<Opcode::Sub>;
-          case Opcode::Subc:   return &alu<Opcode::Subc>;
-          case Opcode::Subr:   return &alu<Opcode::Subr>;
-          case Opcode::Subcr:  return &alu<Opcode::Subcr>;
-          case Opcode::And:    return &alu<Opcode::And>;
-          case Opcode::Or:     return &alu<Opcode::Or>;
-          case Opcode::Xor:    return &alu<Opcode::Xor>;
-          case Opcode::Sll:    return &alu<Opcode::Sll>;
-          case Opcode::Srl:    return &alu<Opcode::Srl>;
-          case Opcode::Sra:    return &alu<Opcode::Sra>;
-          case Opcode::Ldhi:   return &alu<Opcode::Ldhi>;
-          case Opcode::Ldl:    return &load<Opcode::Ldl>;
-          case Opcode::Ldsu:   return &load<Opcode::Ldsu>;
-          case Opcode::Ldss:   return &load<Opcode::Ldss>;
-          case Opcode::Ldbu:   return &load<Opcode::Ldbu>;
-          case Opcode::Ldbs:   return &load<Opcode::Ldbs>;
-          case Opcode::Stl:    return &store<Opcode::Stl>;
-          case Opcode::Sts:    return &store<Opcode::Sts>;
-          case Opcode::Stb:    return &store<Opcode::Stb>;
-          case Opcode::Jmp:    return &jump<Opcode::Jmp>;
-          case Opcode::Jmpr:   return &jump<Opcode::Jmpr>;
-          case Opcode::Call:   return &callRet<Opcode::Call>;
-          case Opcode::Callr:  return &callRet<Opcode::Callr>;
-          case Opcode::Calli:  return &callRet<Opcode::Calli>;
-          case Opcode::Ret:    return &callRet<Opcode::Ret>;
-          case Opcode::Reti:   return &callRet<Opcode::Reti>;
-          case Opcode::Gtlpc:  return &special<Opcode::Gtlpc>;
-          case Opcode::Getpsw: return &special<Opcode::Getpsw>;
-          case Opcode::Putpsw: return &special<Opcode::Putpsw>;
-        }
-        panic(cat("no handler for opcode ", static_cast<int>(op)));
-    }
 };
+
+namespace {
+
+/** Each opcode's handler, by 7-bit opcode value (RISC1_OPCODES). */
+constexpr auto handlerByValue = [] {
+    std::array<void (*)(Machine &, const DecodedInst &), 128> t{};
+#define RISC1_OPCODE_HANDLER(name, value, mnem, fmt, cls, cond, cc, handler, \
+                             ...)                                          \
+    t[value] = &OpHandlers::handler<Opcode::name>;
+    RISC1_OPCODES(RISC1_OPCODE_HANDLER)
+#undef RISC1_OPCODE_HANDLER
+    return t;
+}();
+
+} // namespace
 
 DecodedInst
 Machine::predecodeWord(std::uint32_t word)
@@ -581,14 +508,11 @@ Machine::predecodeWord(std::uint32_t word)
     d.inst = Instruction::decode(word); // throws the decoder's fault
     d.info = opcodeInfo(d.inst.op);
     d.nop = isNop(d.inst);
-    d.hasDelaySlot = (d.info->cls == InstClass::Jump ||
-                      d.info->cls == InstClass::CallRet) &&
-                     d.inst.op != Opcode::Calli;
-    unsigned reads = 0, writes = 0;
-    operandCounts(d.inst, d.info, reads, writes);
-    d.regReads = static_cast<std::uint8_t>(reads);
-    d.regWrites = static_cast<std::uint8_t>(writes);
-    d.exec = OpHandlers::resolve(d.inst.op);
+    d.hasDelaySlot = d.info->delaySlot;
+    d.regReads = static_cast<std::uint8_t>(
+        d.info->regReads + (d.info->s2Read && !d.inst.imm ? 1 : 0));
+    d.regWrites = d.info->regWrites;
+    d.exec = handlerByValue[static_cast<std::uint8_t>(d.inst.op)];
     return d;
 }
 

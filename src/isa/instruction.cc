@@ -9,71 +9,29 @@ namespace risc1 {
 
 namespace {
 
-/** The full opcode metadata table (31 entries, mnemonic order). */
-constexpr std::array<OpcodeInfo, numOpcodes> opcodeTable = {{
-    {Opcode::Add,    "add",    Format::Short, InstClass::Alu,    false, true},
-    {Opcode::Addc,   "addc",   Format::Short, InstClass::Alu,    false, true},
-    {Opcode::Sub,    "sub",    Format::Short, InstClass::Alu,    false, true},
-    {Opcode::Subc,   "subc",   Format::Short, InstClass::Alu,    false, true},
-    {Opcode::Subr,   "subr",   Format::Short, InstClass::Alu,    false, true},
-    {Opcode::Subcr,  "subcr",  Format::Short, InstClass::Alu,    false, true},
-    {Opcode::And,    "and",    Format::Short, InstClass::Alu,    false, true},
-    {Opcode::Or,     "or",     Format::Short, InstClass::Alu,    false, true},
-    {Opcode::Xor,    "xor",    Format::Short, InstClass::Alu,    false, true},
-    {Opcode::Sll,    "sll",    Format::Short, InstClass::Alu,    false, true},
-    {Opcode::Srl,    "srl",    Format::Short, InstClass::Alu,    false, true},
-    {Opcode::Sra,    "sra",    Format::Short, InstClass::Alu,    false, true},
-    {Opcode::Ldhi,   "ldhi",   Format::Long,  InstClass::Alu,    false, true},
-    {Opcode::Ldl,    "ldl",    Format::Short, InstClass::Load,   false, false},
-    {Opcode::Ldsu,   "ldsu",   Format::Short, InstClass::Load,   false, false},
-    {Opcode::Ldss,   "ldss",   Format::Short, InstClass::Load,   false, false},
-    {Opcode::Ldbu,   "ldbu",   Format::Short, InstClass::Load,   false, false},
-    {Opcode::Ldbs,   "ldbs",   Format::Short, InstClass::Load,   false, false},
-    {Opcode::Stl,    "stl",    Format::Short, InstClass::Store,  false, false},
-    {Opcode::Sts,    "sts",    Format::Short, InstClass::Store,  false, false},
-    {Opcode::Stb,    "stb",    Format::Short, InstClass::Store,  false, false},
-    {Opcode::Jmp,    "jmp",    Format::Short, InstClass::Jump,   true,  false},
-    {Opcode::Jmpr,   "jmpr",   Format::Long,  InstClass::Jump,   true,  false},
-    {Opcode::Call,   "call",   Format::Short, InstClass::CallRet, false,
-     false},
-    {Opcode::Callr,  "callr",  Format::Long,  InstClass::CallRet, false,
-     false},
-    {Opcode::Ret,    "ret",    Format::Short, InstClass::CallRet, false,
-     false},
-    {Opcode::Calli,  "calli",  Format::Short, InstClass::CallRet, false,
-     false},
-    {Opcode::Reti,   "reti",   Format::Short, InstClass::CallRet, false,
-     false},
-    {Opcode::Gtlpc,  "gtlpc",  Format::Short, InstClass::Special, false,
-     false},
-    {Opcode::Getpsw, "getpsw", Format::Short, InstClass::Special, false,
-     false},
-    {Opcode::Putpsw, "putpsw", Format::Short, InstClass::Special, false,
-     false},
-}};
+/** The opcode metadata table: RISC1_OPCODES, in its order. */
+constexpr OpcodeInfo opcodeTable[] = {
+#define RISC1_OPCODE_INFO(name, value, mnem, fmt, cls, cond, cc, handler, \
+                          ...)                                            \
+    {Opcode::name, mnem, Format::fmt, InstClass::cls, cond, cc, __VA_ARGS__},
+    RISC1_OPCODES(RISC1_OPCODE_INFO)
+#undef RISC1_OPCODE_INFO
+};
 
-/** Dense lookup by 7-bit opcode value; nullptr for illegal values. */
-const OpcodeInfo *
-buildDenseTable(int value)
-{
+/** Lookup by 7-bit opcode value; nullptr for illegal values. */
+constexpr auto opcodeByValue = [] {
+    std::array<const OpcodeInfo *, 128> t{};
     for (const auto &info : opcodeTable)
-        if (static_cast<int>(info.op) == value)
-            return &info;
-    return nullptr;
-}
+        t[static_cast<std::uint8_t>(info.op)] = &info;
+    return t;
+}();
 
 } // namespace
 
 const OpcodeInfo *
 opcodeInfo(Opcode op)
 {
-    static const auto dense = [] {
-        std::array<const OpcodeInfo *, 128> t{};
-        for (int v = 0; v < 128; ++v)
-            t[static_cast<std::size_t>(v)] = buildDenseTable(v);
-        return t;
-    }();
-    return dense[static_cast<std::uint8_t>(op) & 0x7f];
+    return opcodeByValue[static_cast<std::uint8_t>(op) & 0x7f];
 }
 
 std::optional<Opcode>
@@ -88,7 +46,7 @@ opcodeFromMnemonic(std::string_view mnemonic)
 const OpcodeInfo *
 allOpcodes()
 {
-    return opcodeTable.data();
+    return opcodeTable;
 }
 
 std::uint32_t

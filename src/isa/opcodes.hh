@@ -18,55 +18,78 @@
 
 namespace risc1 {
 
+/**
+ * The RISC I instruction list: one row per opcode, in table order.
+ * Everything else about an opcode (the Opcode enum, numOpcodes, the
+ * OpcodeInfo table and its lookups, the simulator's handler table) is
+ * generated from it.  Columns:
+ *
+ *   name     Opcode enumerator
+ *   value    the 7-bit opcode field
+ *   mnem     assembler mnemonic (without any scc suffix)
+ *   fmt      Format: Short or Long
+ *   cls      InstClass
+ *   cond     the rd field names a jump condition, not a register
+ *   cc       the instruction may set condition codes via scc
+ *   handler  the Machine handler family that executes it
+ *   rd/s2/wr register operands it reads besides s2, whether a register
+ *            s2 (imm = 0) adds a read, and register operands it writes
+ *   slot     the next instruction is an architectural delay slot
+ *
+ * For stores the rd field names the data register, which is read.
+ */
+#define RISC1_OPCODES(X)                                                  \
+    /* name value  mnem      fmt    cls   cond cc handler rd s2 wr slot */\
+    /* Arithmetic / logic. */                                             \
+    X(Add,    0x01, "add",    Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
+    X(Addc,   0x02, "addc",   Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
+    X(Sub,    0x03, "sub",    Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
+    X(Subc,   0x04, "subc",   Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
+    X(Subr,   0x05, "subr",   Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
+    X(Subcr,  0x06, "subcr",  Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
+    X(And,    0x07, "and",    Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
+    X(Or,     0x08, "or",     Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
+    X(Xor,    0x09, "xor",    Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
+    X(Sll,    0x0a, "sll",    Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
+    X(Srl,    0x0b, "srl",    Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
+    X(Sra,    0x0c, "sra",    Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
+    /* Load immediate high. */                                            \
+    X(Ldhi,   0x10, "ldhi",   Long,  Alu,     0, 1, alu,     0, 0, 1, 0)  \
+    /* Loads: rd <- M[rs1 + s2]. */                                       \
+    X(Ldl,    0x11, "ldl",    Short, Load,    0, 0, load,    1, 1, 1, 0)  \
+    X(Ldsu,   0x12, "ldsu",   Short, Load,    0, 0, load,    1, 1, 1, 0)  \
+    X(Ldss,   0x13, "ldss",   Short, Load,    0, 0, load,    1, 1, 1, 0)  \
+    X(Ldbu,   0x14, "ldbu",   Short, Load,    0, 0, load,    1, 1, 1, 0)  \
+    X(Ldbs,   0x15, "ldbs",   Short, Load,    0, 0, load,    1, 1, 1, 0)  \
+    /* Stores: M[rs1 + s2] <- rd. */                                      \
+    X(Stl,    0x19, "stl",    Short, Store,   0, 0, store,   2, 1, 0, 0)  \
+    X(Sts,    0x1a, "sts",    Short, Store,   0, 0, store,   2, 1, 0, 0)  \
+    X(Stb,    0x1b, "stb",    Short, Store,   0, 0, store,   2, 1, 0, 0)  \
+    /* Control transfer. */                                               \
+    X(Jmp,    0x20, "jmp",    Short, Jump,    1, 0, jump,    1, 1, 0, 1)  \
+    X(Jmpr,   0x21, "jmpr",   Long,  Jump,    1, 0, jump,    0, 0, 0, 1)  \
+    X(Call,   0x22, "call",   Short, CallRet, 0, 0, callRet, 1, 1, 1, 1)  \
+    X(Callr,  0x23, "callr",  Long,  CallRet, 0, 0, callRet, 0, 0, 1, 1)  \
+    X(Ret,    0x24, "ret",    Short, CallRet, 0, 0, callRet, 1, 1, 0, 1)  \
+    X(Calli,  0x25, "calli",  Short, CallRet, 0, 0, callRet, 0, 0, 1, 0)  \
+    X(Reti,   0x26, "reti",   Short, CallRet, 0, 0, callRet, 1, 1, 0, 1)  \
+    /* Special: PC and PSW access. */                                     \
+    X(Gtlpc,  0x28, "gtlpc",  Short, Special, 0, 0, special, 0, 0, 1, 0)  \
+    X(Getpsw, 0x29, "getpsw", Short, Special, 0, 0, special, 0, 0, 1, 0)  \
+    X(Putpsw, 0x2a, "putpsw", Short, Special, 0, 0, special, 1, 0, 0, 0)
+
 /** The 31 RISC I instructions. Values are the 7-bit opcode field. */
 enum class Opcode : std::uint8_t
 {
-    // Arithmetic / logic (short-immediate format).
-    Add    = 0x01,
-    Addc   = 0x02,
-    Sub    = 0x03,
-    Subc   = 0x04,
-    Subr   = 0x05,
-    Subcr  = 0x06,
-    And    = 0x07,
-    Or     = 0x08,
-    Xor    = 0x09,
-    Sll    = 0x0a,
-    Srl    = 0x0b,
-    Sra    = 0x0c,
-
-    // Load immediate high (long-immediate format).
-    Ldhi   = 0x10,
-
-    // Loads (short-immediate format: address = rs1 + s2).
-    Ldl    = 0x11,
-    Ldsu   = 0x12,
-    Ldss   = 0x13,
-    Ldbu   = 0x14,
-    Ldbs   = 0x15,
-
-    // Stores (rd field holds the data register).
-    Stl    = 0x19,
-    Sts    = 0x1a,
-    Stb    = 0x1b,
-
-    // Control transfer.  For Jmp/Jmpr the rd field holds the condition.
-    Jmp    = 0x20,
-    Jmpr   = 0x21,
-    Call   = 0x22,
-    Callr  = 0x23,
-    Ret    = 0x24,
-    Calli  = 0x25,
-    Reti   = 0x26,
-
-    // Special.
-    Gtlpc  = 0x28,
-    Getpsw = 0x29,
-    Putpsw = 0x2a,
+#define RISC1_OPCODE_ENUM(name, value, ...) name = value,
+    RISC1_OPCODES(RISC1_OPCODE_ENUM)
+#undef RISC1_OPCODE_ENUM
 };
 
+#define RISC1_OPCODE_COUNT(...) +1
 /** Number of distinct RISC I instructions (the paper's headline count). */
-inline constexpr int numOpcodes = 31;
+inline constexpr int numOpcodes = 0 RISC1_OPCODES(RISC1_OPCODE_COUNT);
+#undef RISC1_OPCODE_COUNT
 
 /** Broad instruction classes used by statistics and the timing model. */
 enum class InstClass : std::uint8_t
@@ -86,7 +109,7 @@ enum class Format : std::uint8_t
     Long,   ///< opcode|scc|rd|Y(19)
 };
 
-/** Static description of one opcode. */
+/** Static description of one opcode: its RISC1_OPCODES row. */
 struct OpcodeInfo
 {
     Opcode op;
@@ -97,6 +120,14 @@ struct OpcodeInfo
     bool rdIsCond;
     /** True when the instruction may set condition codes via scc. */
     bool maySetCc;
+    /** Register operands read, not counting a register s2. */
+    std::uint8_t regReads;
+    /** True when a register s2 (imm = 0) is one more read. */
+    bool s2Read;
+    /** Register operands written. */
+    std::uint8_t regWrites;
+    /** True when the next instruction is an architectural delay slot. */
+    bool delaySlot;
 };
 
 /** Look up metadata; returns nullptr for illegal opcode values. */
