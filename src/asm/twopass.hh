@@ -33,7 +33,7 @@
  * Rules both ISAs keep: a register name is never a symbol; .org,
  * .space and .align take one expression pass 1 can evaluate, with a
  * non-negative 32-bit value; strings go only where a directive takes
- * strings.
+ * strings; no statement reaches past address 0xffffffff.
  */
 
 #ifndef RISC1_ASM_TWOPASS_HH
@@ -215,12 +215,19 @@ assembleWith(const std::string &source)
     AsmCore core(Syntax::align, Syntax::regName);
     Syntax isa(core.symbols);
 
-    std::uint32_t addr = kDefaultOrg;
+    // The location counter is 64-bit, so a program that runs past
+    // 0xffffffff fails instead of wrapping to 0.
+    constexpr std::uint64_t top = std::uint64_t{1} << 32;
+    std::uint64_t addr = kDefaultOrg;
     for (auto &stmt : stmts) {
-        core.place(stmt, addr);
+        if (addr == top && stmt.directive != Directive::Org)
+            asmError(stmt, "address past 0xffffffff");
+        core.place(stmt, static_cast<std::uint32_t>(addr));
         if (stmt.directive == Directive::Isa)
             stmt.size = isa.size(stmt);
-        addr = stmt.address + stmt.size;
+        addr = std::uint64_t{stmt.address} + stmt.size;
+        if (addr > top)
+            asmError(stmt, "statement ends past 0xffffffff");
     }
 
     std::uint64_t instructions = 0;

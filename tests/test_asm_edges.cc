@@ -154,6 +154,26 @@ TEST_P(SharedDirectiveRules, OperandsOfTheWrongKindFail)
     EXPECT_THROW(assemble("start: halt\n.bogus 3\n"), FatalError);
 }
 
+TEST_P(SharedDirectiveRules, LocationCounterPast32BitsFails)
+{
+    // The counter once wrapped: y landed at 0x8.
+    EXPECT_THROW(assemble(".org 0xfffffff8\nstart: halt\n"
+                          "x: .word 1, 2, 3\ny: halt\n"),
+                 FatalError);
+    // A label after the last byte would have been bound to 0.
+    EXPECT_THROW(assemble(".org 0xfffffff8\nstart: .word 1, 2\nend:\n"),
+                 FatalError);
+    EXPECT_THROW(assemble(".org 0xfffffff8\nstart: .word 1, 2\n"
+                          ".word 3\n"),
+                 FatalError);
+    // Ending at the last byte is allowed, and so is an .org back down.
+    const Program atTop =
+        assemble(".org 0xfffffff8\nstart: .word 1, 2\n");
+    EXPECT_EQ(atTop.segments.at(0).bytes.size(), 8u);
+    EXPECT_NO_THROW(assemble(".org 0xfffffffc\n.word 1\n.org 0x2000\n"
+                             "start: halt\n"));
+}
+
 INSTANTIATE_TEST_SUITE_P(BothIsas, SharedDirectiveRules,
                          ::testing::Values("risc", "vax"));
 
