@@ -138,9 +138,9 @@ parseVOperand(TokenCursor &cur)
             op.reg = parseParenReg(cur, vaxRegName);
             return op;
         }
+        // The '-' is the first term's sign, as in any expression.
         op.expr = cur.parseExpr();
-        for (auto &t : op.expr.terms)
-            t.sign = -t.sign;
+        op.expr.terms.front().sign = -op.expr.terms.front().sign;
     } else {
         op.expr = cur.parseExpr();
     }

@@ -8,6 +8,7 @@
 #include "common/logging.hh"
 #include "helpers.hh"
 #include "vax/vassembler.hh"
+#include "vax/vdisasm.hh"
 #include "vax/vmachine.hh"
 
 namespace risc1 {
@@ -228,6 +229,20 @@ func:   .mask -1 + 2, -a + b
     EXPECT_EQ(seg.bytes[2], 0x05);
     EXPECT_EQ(seg.bytes[3], 0x00);
     EXPECT_THROW(assembleVax("f: .mask \"ab\"\n"), FatalError);
+}
+
+TEST(AsmEdges, VaxLeadingMinusNegatesTheFirstTermOnly)
+{
+    // The operand once negated every term: -4 + 8 became -12.
+    const auto disasm = [](const std::string &operand) {
+        const Program prog =
+            assembleVax("start: movl " + operand + ", r0\n");
+        const auto &seg = prog.segments.at(0);
+        return vaxDisassembleAt(seg.bytes, 0, seg.base).text;
+    };
+    EXPECT_EQ(disasm("-4 + 8(r2)"), "movl 4(r2), r0");
+    EXPECT_EQ(disasm("-4 - 8(r2)"), "movl -12(r2), r0");
+    EXPECT_EQ(disasm("-8(r2)"), "movl -8(r2), r0");
 }
 
 TEST(AsmEdges, VaxShortLiteralBoundary)
