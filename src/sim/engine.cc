@@ -30,40 +30,6 @@ jobStatusName(JobStatus status)
     return "unknown";
 }
 
-void
-JobQueue::push(std::size_t index)
-{
-    {
-        std::lock_guard lock(mutex_);
-        if (closed_)
-            panic("JobQueue: push after close");
-        items_.push_back(index);
-    }
-    cv_.notify_one();
-}
-
-void
-JobQueue::close()
-{
-    {
-        std::lock_guard lock(mutex_);
-        closed_ = true;
-    }
-    cv_.notify_all();
-}
-
-bool
-JobQueue::pop(std::size_t &out)
-{
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty())
-        return false;
-    out = items_.front();
-    items_.pop_front();
-    return true;
-}
-
 unsigned
 resolveWorkers(const BatchOptions &options)
 {
@@ -325,11 +291,9 @@ runBatchReport(const std::vector<SimJob> &jobs, const BatchOptions &options)
     if (jobs.empty())
         return report;
 
-    JobQueue queue;
-    std::atomic<std::size_t> pending{jobs.size()};
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        queue.push(i);
-    queue.close();
+    // Every job is known up front, so workers claim job indices in
+    // order from one counter.
+    std::atomic<std::size_t> next{0};
 
     const unsigned workers =
         std::min<std::size_t>(resolveWorkers(options), jobs.size());
@@ -343,11 +307,14 @@ runBatchReport(const std::vector<SimJob> &jobs, const BatchOptions &options)
     const auto batchStart = clock::now();
     auto drain = [&](unsigned lane) {
         auto &wm = report.metrics.perWorker[lane];
-        std::size_t index;
-        while (queue.pop(index)) {
+        for (;;) {
+            const std::size_t index =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (index >= jobs.size())
+                break;
             const auto popped = clock::now();
-            const std::uint64_t depth =
-                pending.fetch_sub(1, std::memory_order_relaxed) - 1;
+            // Jobs still waiting once this one is claimed.
+            const std::uint64_t depth = jobs.size() - index - 1;
             {
                 std::lock_guard lock(sampleMutex);
                 samples.push_back({msSince(batchStart, popped), depth});

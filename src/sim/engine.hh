@@ -2,12 +2,11 @@
  * @file
  * The thread-pooled batch-simulation engine.
  *
- * Threading model: a fixed-size worker pool drains a simple
- * mutex-guarded MPMC queue of job indices (no work stealing, no
- * sharding — one lock, one condition variable).  Every worker owns its
- * Machine instances outright; the only shared mutable state is the
- * queue and the pre-sized result vector, where worker i writes only
- * results[job.index].  Results are therefore insertion-ordered and
+ * Threading model: a fixed-size worker pool claims job indices in
+ * order from one atomic counter (no work stealing, no sharding, no
+ * lock).  Every worker owns its Machine instances outright; the only
+ * shared mutable state is the counter and the pre-sized result vector,
+ * where worker i writes only results[job.index].  Results are therefore insertion-ordered and
  * byte-for-byte deterministic regardless of worker count or
  * interleaving — `runBatch(jobs, {1})` and `runBatch(jobs, {N})`
  * render to identical artifacts.
@@ -45,35 +44,6 @@ struct BatchOptions
      * dying mid-write.
      */
     const std::atomic<bool> *cancel = nullptr;
-};
-
-/**
- * A minimal blocking multi-producer/multi-consumer queue.
- *
- * Deliberately lock-based and work-stealing-free: simulation jobs run
- * for milliseconds to seconds, so queue overhead is noise and the
- * simplest correct structure wins.
- */
-class JobQueue
-{
-  public:
-    /** Enqueue one job index; rejects pushes after close(). */
-    void push(std::size_t index);
-
-    /** No more pushes; unblocks every waiting pop(). */
-    void close();
-
-    /**
-     * Dequeue into @p out, blocking while the queue is open and empty.
-     * @return false once the queue is closed and drained.
-     */
-    bool pop(std::size_t &out);
-
-  private:
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::deque<std::size_t> items_;
-    bool closed_ = false;
 };
 
 /**
