@@ -9,10 +9,11 @@
 #                  trailing sanitizer pass (what CI's asan job runs)
 #   --no-sanitize  normal build only, no trailing sanitizer pass
 #
-# It prints the src/ line count, then runs ctest in labeled stages (see
-# docs/TESTING.md) so a failure names the ring that broke: unit ->
-# property -> differential -> target -> vax -> obs -> mem -> server ->
-# lang -> golden -> bench.
+# Outside --sanitize it also builds the benchmark harness (perfbench/)
+# without running it.  It prints the src/ line count, then runs ctest
+# in labeled stages (see docs/TESTING.md) so a failure names the ring
+# that broke: unit -> property -> differential -> target -> vax -> obs
+# -> mem -> server -> lang -> golden -> bench.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -32,6 +33,16 @@ CMAKE_FLAGS=""
 # shellcheck disable=SC2086  # CMAKE_FLAGS is intentionally word-split
 cmake -B "$BUILD" -S . $CMAKE_FLAGS
 cmake --build "$BUILD" -j
+
+# The benchmark (perfbench/, BENCHMARK.json) builds its harness against
+# src/ with its own CMake project.  Build it, without running it, so a
+# src/ API change that breaks the harness fails here.
+if [ "$MODE" != sanitize ]; then
+    echo
+    echo "== perfbench build (not run) =="
+    cmake -B "$BUILD/perfbench" -S perfbench
+    cmake --build "$BUILD/perfbench" -j
+fi
 
 # Net source size (ROADMAP "Quality of design"): the total line count
 # of src/**/*.{cc,hh}, which each change reports as parent -> change.
