@@ -22,7 +22,7 @@ namespace risc1 {
  * The RISC I instruction list: one row per opcode, in table order.
  * Everything else about an opcode (the Opcode enum, numOpcodes, the
  * OpcodeInfo table and its lookups, the simulator's handler table) is
- * generated from it.  Columns:
+ * generated from it.  Columns, in order (0/1 for the flags):
  *
  *   name     Opcode enumerator
  *   value    the 7-bit opcode field
@@ -39,7 +39,6 @@ namespace risc1 {
  * For stores the rd field names the data register, which is read.
  */
 #define RISC1_OPCODES(X)                                                  \
-    /* name value  mnem      fmt    cls   cond cc handler rd s2 wr slot */\
     /* Arithmetic / logic. */                                             \
     X(Add,    0x01, "add",    Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \
     X(Addc,   0x02, "addc",   Short, Alu,     0, 1, alu,     1, 1, 1, 0)  \

@@ -308,8 +308,7 @@ runBatchReport(const std::vector<SimJob> &jobs, const BatchOptions &options)
     auto drain = [&](unsigned lane) {
         auto &wm = report.metrics.perWorker[lane];
         for (;;) {
-            const std::size_t index =
-                next.fetch_add(1, std::memory_order_relaxed);
+            const std::size_t index = next.fetch_add(1);
             if (index >= jobs.size())
                 break;
             const auto popped = clock::now();

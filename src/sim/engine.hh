@@ -6,10 +6,10 @@
  * order from one atomic counter (no work stealing, no sharding, no
  * lock).  Every worker owns its Machine instances outright; the only
  * shared mutable state is the counter and the pre-sized result vector,
- * where worker i writes only results[job.index].  Results are therefore insertion-ordered and
- * byte-for-byte deterministic regardless of worker count or
- * interleaving — `runBatch(jobs, {1})` and `runBatch(jobs, {N})`
- * render to identical artifacts.
+ * where worker i writes only results[job.index].  Results are
+ * therefore insertion-ordered and byte-for-byte deterministic
+ * regardless of worker count or interleaving — `runBatch(jobs, {1})`
+ * and `runBatch(jobs, {N})` render to identical artifacts.
  */
 
 #ifndef RISC1_SIM_ENGINE_HH

@@ -49,7 +49,6 @@ inline constexpr unsigned vaxPc = 15;  ///< program counter
  * (charged by the machine), RET ~12.
  */
 #define RISC1_VAX_OPCODES(X)                                             \
-    /* name   byte  mnem      cls      base operand uses */              \
     X(Halt,   0x00, "halt",   Misc,     2)                               \
     X(Nop,    0x01, "nop",    Misc,     2)                               \
     /* Moves; MOVAL moves the effective address of its source. */        \
