@@ -13,12 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "helpers.hh"
 #include "lang/diff.hh"
 #include "lang/parser.hh"
 
@@ -73,6 +75,39 @@ TEST(LangCorpus, EveryProgramAgreesEverywhere)
             << verdict.skipReason;
         EXPECT_TRUE(verdict.agreed) << verdict.report();
     }
+}
+
+TEST(LangCorpus, DiffRunsMatchPinnedDigest)
+{
+    // Pins what diffProgram reports per program: the four runs in
+    // order, each matching the oracle, equal step counts across the
+    // tiers of one ISA, and an FNV-1a over every run's config and
+    // steps.  A change to how the harness assembles or loads programs
+    // must leave all of it as it is.
+    const std::vector<std::string> configs = {"risc/step", "risc/fast",
+                                              "vax/step", "vax/fast"};
+    std::vector<std::uint8_t> bytes;
+    for (const auto &name : corpusFiles()) {
+        SCOPED_TRACE(name);
+        const Program program =
+            parseProgram(readFile(corpusDir() + "/" + name));
+        const DiffOutcome verdict = diffProgram(program);
+        ASSERT_EQ(verdict.runs.size(), 4u) << verdict.report();
+        for (std::size_t i = 0; i < 4; ++i) {
+            const BackendRun &run = verdict.runs[i];
+            EXPECT_EQ(run.config, configs[i]);
+            EXPECT_TRUE(run.match) << run.config << ": " << run.error;
+            bytes.insert(bytes.end(), run.config.begin(),
+                         run.config.end());
+            bytes.push_back(0);
+            for (int b = 0; b < 8; ++b)
+                bytes.push_back(
+                    static_cast<std::uint8_t>(run.steps >> (8 * b)));
+        }
+        EXPECT_EQ(verdict.runs[0].steps, verdict.runs[1].steps);
+        EXPECT_EQ(verdict.runs[2].steps, verdict.runs[3].steps);
+    }
+    EXPECT_EQ(test::fnv1a(bytes), 0x9e44cecb84b103e7ull);
 }
 
 TEST(LangCorpus, GoldenObservations)
