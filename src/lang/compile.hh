@@ -4,8 +4,11 @@
  *
  * Both backends consume a checked AST (see parser.hh) and emit
  * complete, self-contained assembly source for the existing
- * assemblers — the same text a target::Target::load() accepts.  The
- * two lowerings differ exactly where the paper's comparison does:
+ * assemblers — the same text a target::Target::load() accepts.
+ * diffProgram assembles each lowering once per ISA and both tiers load
+ * that image (Target::loadProgram), reading `gvars` from its symbol
+ * table.  The two lowerings differ exactly where the paper's
+ * comparison does:
  *
  *  RISC I (compile_risc.cc): register-window calls.  CALL slides the
  *  window, so arguments move through the LOW/HIGH overlap

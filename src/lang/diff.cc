@@ -2,32 +2,14 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 
 #include "asm/assembler.hh"
 #include "common/logging.hh"
-#include "common/program.hh"
 #include "target/registry.hh"
 #include "vax/vassembler.hh"
 
 namespace risc1::lang {
-
-namespace {
-
-/** Address of the `gvars` block in @p source for backend @p name. */
-std::uint32_t
-dataAddress(const std::string &name, const std::string &source)
-{
-    const risc1::Program assembled = name == "risc"
-                                         ? assembleRisc(source)
-                                         : assembleVax(source);
-    const auto it = assembled.symbols.find(kDataLabel);
-    if (it == assembled.symbols.end())
-        panic(cat("lang diff: no '", kDataLabel, "' symbol in ", name,
-                  " program"));
-    return it->second;
-}
-
-} // namespace
 
 std::string
 describeMismatch(const Observation &want, const Observation &got)
@@ -74,17 +56,19 @@ describeMismatch(const Observation &want, const Observation &got)
 }
 
 BackendRun
-runBackend(const std::string &targetName,
-           const CompiledProgram &compiled, bool fast,
-           std::uint64_t maxSimSteps)
+runBackend(const std::string &targetName, const risc1::Program &image,
+           const DataLayout &layout, bool fast, std::uint64_t maxSimSteps)
 {
     BackendRun run;
     run.config = cat(targetName, fast ? "/fast" : "/step");
     try {
         auto t = target::makeTarget(targetName);
-        t->load(compiled.source);
-        const std::uint32_t base =
-            dataAddress(targetName, compiled.source);
+        t->loadProgram(image);
+        const auto gvars = image.symbols.find(kDataLabel);
+        if (gvars == image.symbols.end())
+            panic(cat("lang diff: no '", kDataLabel, "' symbol in ",
+                      targetName, " program"));
+        const std::uint32_t base = gvars->second;
         const RunOutcome outcome = t->run(maxSimSteps, fast);
         run.steps = outcome.steps;
         if (!outcome.halted) {
@@ -93,7 +77,6 @@ runBackend(const std::string &targetName,
             return run;
         }
         run.obs.ret = t->checksum();
-        const DataLayout &layout = compiled.layout;
         run.obs.globals.reserve(layout.globalWords);
         for (std::uint32_t w = 0; w < layout.globalWords; ++w)
             run.obs.globals.push_back(t->peekWord(base + 4 * w));
@@ -126,27 +109,36 @@ diffProgram(const Program &program, const DiffLimits &limits)
         return outcome;
     }
 
+    // Each lowering is assembled once; both tiers of its ISA load
+    // that one image.
     CompiledProgram risc, vax;
+    risc1::Program riscImage, vaxImage;
+    const char *stage = "";
     try {
         risc = compileRisc(program);
         vax = compileVax(program);
+        stage = "risc assembly: ";
+        riscImage = assembleRisc(risc.source);
+        stage = "vax assembly: ";
+        vaxImage = assembleVax(vax.source);
     } catch (const FatalError &e) {
-        // A valid program a backend cannot lower is itself a finding.
+        // A valid program a backend cannot lower, or whose lowering
+        // does not assemble, is itself a finding.
         BackendRun fail;
         fail.config = "compile";
-        fail.error = e.what();
+        fail.error = cat(stage, e.what());
         outcome.runs.push_back(std::move(fail));
         return outcome;
     }
 
     const Observation &want = outcome.reference.obs;
-    for (const auto &[name, compiled] :
-         {std::pair<const char *, const CompiledProgram &>{"risc",
-                                                           risc},
-          {"vax", vax}}) {
+    for (const auto &[name, image, layout] :
+         {std::tuple<const char *, const risc1::Program &,
+                     const DataLayout &>{"risc", riscImage, risc.layout},
+          {"vax", vaxImage, vax.layout}}) {
         for (const bool fast : {false, true}) {
-            BackendRun run =
-                runBackend(name, compiled, fast, limits.maxSimSteps);
+            BackendRun run = runBackend(name, image, layout, fast,
+                                        limits.maxSimSteps);
             if (run.ok) {
                 const std::string diff =
                     describeMismatch(want, run.obs);

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/program.hh"
 #include "lang/compile.hh"
 #include "lang/interp.hh"
 
@@ -83,15 +84,17 @@ DiffOutcome diffProgram(const Program &program,
                         const DiffLimits &limits = {});
 
 /**
- * Run @p compiled on backend @p targetName ("risc" or "vax") through
- * the step() path (@p fast false) or runFast (@p fast true), reading
- * the Observation back through Target::peekWord.  The data-block
- * address comes from re-assembling the source locally — both
- * assemblers are deterministic, so the symbol table matches the one
- * Target::load built internally.
+ * Load @p image, a lowering already assembled for backend
+ * @p targetName ("risc" or "vax"), and run it through the step() path
+ * (@p fast false) or runFast (@p fast true), reading the Observation
+ * back through Target::peekWord at the offsets in @p layout.
+ * diffProgram assembles each lowering once per ISA and both tiers load
+ * that image; the `gvars` address is read from the image's own symbol
+ * table.
  */
 BackendRun runBackend(const std::string &targetName,
-                      const CompiledProgram &compiled, bool fast,
+                      const risc1::Program &image,
+                      const DataLayout &layout, bool fast,
                       std::uint64_t maxSimSteps);
 
 /** First difference between @p got and the oracle's @p want, or "". */

@@ -131,7 +131,12 @@ class MachineTarget final : public Target
     void
     load(const std::string &source) override
     {
-        const Program program = B::assemble(source);
+        loadProgram(B::assemble(source));
+    }
+
+    void
+    loadProgram(const Program &program) override
+    {
         codeBytes_ = program.codeBytes();
         machine_.loadProgram(program);
     }

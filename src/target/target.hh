@@ -114,6 +114,9 @@ class Target
     /** Assemble @p source for this ISA and load it. */
     virtual void load(const std::string &source) = 0;
 
+    /** Load @p program, an image already assembled for this ISA. */
+    virtual void loadProgram(const Program &program) = 0;
+
     /** Static code bytes of the most recently loaded program. */
     virtual std::uint64_t codeBytes() const = 0;
 

@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "target/machine_target.hh"
 #include "target/registry.hh"
+#include "target/snapshot_io.hh"
 #include "workloads/workloads.hh"
 
 namespace risc1 {
@@ -83,6 +84,54 @@ TEST(Target, AllBackendsRunAllWorkloads)
                       fast->stats()->instructions());
         }
     }
+}
+
+/**
+ * load(source) and loadProgram(assemble(source)) give the same
+ * machine: equal code bytes, a byte-identical snapshot before the
+ * run, and equal results after it on both tiers.
+ */
+template <typename B>
+void
+expectLoadProgramMatchesLoad()
+{
+    ASSERT_EQ(allWorkloads().size(), 11u);
+    for (const Workload &w : allWorkloads()) {
+        const std::string &source = B::workloadSource(w);
+        for (const bool fast : {false, true}) {
+            SCOPED_TRACE(std::string(B::name) + "/" + w.id +
+                         (fast ? "/fast" : "/step"));
+            const auto viaSource = target::makeTarget(B::name);
+            viaSource->load(source);
+            const auto viaImage = target::makeTarget(B::name);
+            viaImage->loadProgram(B::assemble(source));
+
+            EXPECT_EQ(viaImage->codeBytes(), viaSource->codeBytes());
+            EXPECT_EQ(target::serializeSnapshot(*viaImage->snapshot()),
+                      target::serializeSnapshot(*viaSource->snapshot()));
+
+            const RunOutcome a = viaSource->run(50'000'000, fast);
+            const RunOutcome b = viaImage->run(50'000'000, fast);
+            EXPECT_TRUE(b.halted);
+            EXPECT_EQ(b.steps, a.steps);
+            EXPECT_EQ(viaImage->checksum(), viaSource->checksum());
+            EXPECT_EQ(viaImage->checksum(), w.expected);
+            EXPECT_EQ(viaImage->stats()->cycles(),
+                      viaSource->stats()->cycles());
+            EXPECT_EQ(viaImage->stats()->instructions(),
+                      viaSource->stats()->instructions());
+        }
+    }
+}
+
+TEST(Target, LoadProgramMatchesLoadOnRisc)
+{
+    expectLoadProgramMatchesLoad<target::RiscBackend>();
+}
+
+TEST(Target, LoadProgramMatchesLoadOnVax)
+{
+    expectLoadProgramMatchesLoad<target::VaxBackend>();
 }
 
 TEST(Target, StepAndStatsThroughTheInterface)
