@@ -30,9 +30,21 @@ done
 CMAKE_FLAGS=""
 [ "$MODE" = sanitize ] && CMAKE_FLAGS="-DSANITIZE=ON"
 
+# Build job count: one per CPU, but at most one per 2 GiB of
+# MemAvailable and at least 1.  An unbounded -j can get a compiler
+# OOM-killed, which the ASan+UBSan build makes most likely.
+JOBS=$(nproc)
+MEM_KIB=$(awk '/^MemAvailable:/ { print $2 }' /proc/meminfo 2>/dev/null)
+if [ -n "$MEM_KIB" ]; then
+    MEM_JOBS=$((MEM_KIB / (2 * 1024 * 1024)))
+    [ "$MEM_JOBS" -lt "$JOBS" ] && JOBS=$MEM_JOBS
+fi
+[ "$JOBS" -lt 1 ] && JOBS=1
+echo "check.sh: building with $JOBS parallel jobs"
+
 # shellcheck disable=SC2086  # CMAKE_FLAGS is intentionally word-split
 cmake -B "$BUILD" -S . $CMAKE_FLAGS
-cmake --build "$BUILD" -j
+cmake --build "$BUILD" -j "$JOBS"
 
 # The benchmark (perfbench/, BENCHMARK.json) builds its harness against
 # src/ with its own CMake project.  Build it, without running it, so a
@@ -41,7 +53,7 @@ if [ "$MODE" != sanitize ]; then
     echo
     echo "== perfbench build (not run) =="
     cmake -B "$BUILD/perfbench" -S perfbench
-    cmake --build "$BUILD/perfbench" -j
+    cmake --build "$BUILD/perfbench" -j "$JOBS"
 fi
 
 # Net source size (ROADMAP "Quality of design"): the total line count
@@ -248,7 +260,7 @@ if [ "$MODE" = default ]; then
     echo "== sanitizer pass: ASan + UBSan =="
     ASAN_BUILD="${BUILD}-asan"
     cmake -B "$ASAN_BUILD" -S . -DSANITIZE=ON
-    cmake --build "$ASAN_BUILD" -j
+    cmake --build "$ASAN_BUILD" -j "$JOBS"
     run_stages "$ASAN_BUILD"
     run_riscdiff "$ASAN_BUILD"
 fi
