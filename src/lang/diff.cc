@@ -109,8 +109,6 @@ diffProgram(const Program &program, const DiffLimits &limits)
         return outcome;
     }
 
-    // Each lowering is assembled once; both tiers of its ISA load
-    // that one image.
     CompiledProgram risc, vax;
     risc1::Program riscImage, vaxImage;
     const char *stage = "";
