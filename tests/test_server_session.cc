@@ -472,6 +472,128 @@ TEST(ServerSession, MutationsRefusedDuringRun)
     cleanupSpool(cfg);
 }
 
+TEST(ServerSession, EveryCommandPinnedAgainstSessionState)
+{
+    // One row per command: the request (without "session"), then the
+    // reply with no session, with an unknown session id, and with the
+    // id of a session whose run is parked on a latched worker.
+    // nullptr = ok; otherwise the error must contain the text.
+    struct Pin
+    {
+        const char *cmd;
+        const char *args;
+        const char *noSession;
+        const char *unknownSession;
+        const char *midRun;
+    };
+    constexpr const char *missing = "request missing 'session'";
+    constexpr const char *unknown = "unknown session 's999'";
+    constexpr const char *busy = "run in progress";
+    const Pin pins[] = {
+        {"ping", "", nullptr, nullptr, nullptr},
+        {"info", "", nullptr, nullptr, nullptr},
+        {"telemetry", "", nullptr, nullptr, nullptr},
+        {"create", ",\"workload\":\"fib_rec\"", nullptr, nullptr,
+         nullptr},
+        {"destroy", "", missing, unknown, busy},
+        {"step", ",\"count\":1", missing, unknown, busy},
+        {"run", ",\"maxSteps\":100", missing, unknown, busy},
+        {"peek", ",\"addr\":0", missing, unknown, nullptr},
+        {"regs", "", missing, unknown, nullptr},
+        {"stats", "", missing, unknown, nullptr},
+        {"snapshot", "", missing, unknown, busy},
+        {"fork", "",
+         "fork needs exactly one of 'session' or 'snapshot'", unknown,
+         busy},
+        {"evict", "", missing, unknown, busy},
+        {"drop", ",\"snapshot\":\"k999\"", "unknown snapshot 'k999'",
+         "unknown snapshot 'k999'", "unknown snapshot 'k999'"},
+    };
+
+    auto cfg = testConfig("pins");
+    cfg.workers = 1;
+    {
+        Service service(cfg);
+        Driver d(service);
+        const std::string id =
+            d.ok(createReq("risc")).stringOr("session", "");
+
+        const auto expect = [&d](const std::string &request,
+                                 const char *error) {
+            if (error == nullptr) {
+                d.ok(request);
+                return;
+            }
+            const std::string msg = d.err(request);
+            EXPECT_NE(msg.find(error), std::string::npos)
+                << request << " -> " << msg;
+        };
+        const auto request = [](const Pin &pin, const std::string &sid) {
+            std::string r = std::string("{\"cmd\":\"") + pin.cmd + "\"";
+            if (!sid.empty())
+                r += ",\"session\":\"" + sid + "\"";
+            return r + pin.args + "}";
+        };
+        for (const Pin &pin : pins) {
+            expect(request(pin, ""), pin.noSession);
+            expect(request(pin, "s999"), pin.unknownSession);
+        }
+
+        // Park the single worker so the run below stays active while
+        // every command is tried against its session.
+        std::mutex latchM;
+        std::condition_variable latchCv;
+        bool release = false;
+        service.engine().submit([&] {
+            std::unique_lock lock(latchM);
+            latchCv.wait(lock, [&] { return release; });
+        });
+        std::mutex m;
+        std::condition_variable cv;
+        bool done = false;
+        std::string runReply;
+        service.execute("{\"cmd\":\"run\",\"session\":\"" + id +
+                            "\",\"maxSteps\":100000000}",
+                        [&](std::string p) {
+                            std::lock_guard lock(m);
+                            runReply = std::move(p);
+                            done = true;
+                            cv.notify_one();
+                        });
+        for (const Pin &pin : pins)
+            expect(request(pin, id), pin.midRun);
+
+        {
+            std::lock_guard lock(latchM);
+            release = true;
+        }
+        latchCv.notify_all();
+        {
+            std::unique_lock lock(m);
+            cv.wait(lock, [&] { return done; });
+        }
+        EXPECT_TRUE(parseJson(runReply).boolOr("ok", false)) << runReply;
+
+        // One latency histogram per command, plus cmd.other.ns.
+        const JsonValue t = d.ok("{\"cmd\":\"telemetry\"}");
+        const JsonValue *hists = t.find("telemetry")->find("histograms");
+        ASSERT_NE(hists, nullptr);
+        std::size_t cmdHists = 0;
+        for (const auto &[name, h] : hists->members())
+            if (name.rfind("cmd.", 0) == 0 && name.size() > 7 &&
+                name.compare(name.size() - 3, 3, ".ns") == 0)
+                ++cmdHists;
+        EXPECT_EQ(cmdHists, 15u);
+        for (const Pin &pin : pins)
+            EXPECT_NE(hists->find(std::string("cmd.") + pin.cmd + ".ns"),
+                      nullptr)
+                << pin.cmd;
+        EXPECT_NE(hists->find("cmd.other.ns"), nullptr);
+        d.ok("{\"cmd\":\"destroy\",\"session\":\"" + id + "\"}");
+    }
+    cleanupSpool(cfg);
+}
+
 TEST(ServerSession, BackpressureRefusesExcessRuns)
 {
     auto cfg = testConfig("bp");
