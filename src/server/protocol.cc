@@ -13,16 +13,47 @@
 
 namespace risc1::server {
 
+/**
+ * The riscserved commands: one row per command, in table order.  The
+ * handler declarations, the dispatch table, the `cmd.<name>.ns`
+ * latency histograms and the unknown-command error are generated from
+ * it.  Columns:
+ *
+ *   name   the request's "cmd", and the Service::Call handler's name
+ *   need   the session Service::execute looks up, locks and checks
+ *          before the handler runs: none, alive (not destroyed) or
+ *          idle (alive, no run in progress)
+ *   reply  sync: the handler returns the reply; async: the handler
+ *          keeps the deferred reply and answers later (run)
+ */
+#define RISCSERVED_COMMANDS(X)                                            \
+    X(ping,      none,  sync)                                             \
+    X(info,      none,  sync)                                             \
+    X(telemetry, none,  sync)                                             \
+    X(create,    none,  sync)                                             \
+    X(destroy,   idle,  sync)                                             \
+    X(step,      idle,  sync)                                             \
+    X(run,       idle,  async)                                            \
+    X(peek,      alive, sync)                                             \
+    X(regs,      alive, sync)                                             \
+    X(stats,     alive, sync)                                             \
+    X(snapshot,  idle,  sync)                                             \
+    X(fork,      none,  sync)                                             \
+    X(evict,     idle,  sync)                                             \
+    X(drop,      none,  sync)
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double
-msSince(Clock::time_point from)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - from)
-        .count();
-}
+enum class Need { none, alive, idle };
+enum class Reply { sync, async };
+
+#define RISCSERVED_COMMAND_COUNT(name, need, reply) +1
+/** Rows in the command table; also the index of cmd.other.ns. */
+constexpr std::size_t numCommands =
+    0 RISCSERVED_COMMANDS(RISCSERVED_COMMAND_COUNT);
+#undef RISCSERVED_COMMAND_COUNT
 
 std::uint64_t
 nsSince(Clock::time_point from)
@@ -32,13 +63,6 @@ nsSince(Clock::time_point from)
             Clock::now() - from)
             .count());
 }
-
-/** Commands with pre-registered latency histograms; anything else
- *  (including unparsable requests) lands in "cmd.other.ns". */
-constexpr const char *kCommands[] = {
-    "ping", "info", "telemetry", "create", "destroy", "step", "run",
-    "peek", "regs", "stats", "snapshot", "fork", "evict", "drop",
-};
 
 /** Longest request echo a slow.command event carries. */
 constexpr std::size_t kSlowEchoBytes = 256;
@@ -51,20 +75,26 @@ constexpr std::uint64_t kMinMemBytes = 64 * 1024;
 
 constexpr std::uint64_t kDefaultRunSteps = 10'000'000;
 
-/** @throws FatalError if @p session was destroyed after lookup. */
-void
-requireAlive(const Session &session)
+/** Resolve the request's "session" or fail. */
+std::shared_ptr<Session>
+needSession(const SessionManager &sessions, const JsonValue &req)
 {
-    if (session.destroyed)
-        fatal(cat("unknown session '", session.id, "'"));
+    const std::string id = req.stringOr("session", "");
+    if (id.empty())
+        fatal("request missing 'session'");
+    auto session = sessions.find(id);
+    if (!session)
+        fatal(cat("unknown session '", id, "'"));
+    return session;
 }
 
-/** @throws FatalError unless @p session is alive and not mid-run. */
+/** @throws FatalError unless @p session (mutex held) meets @p need. */
 void
-requireIdle(const Session &session)
+require(const Session &session, Need need)
 {
-    requireAlive(session);
-    if (session.runActive)
+    if (session.destroyed) // destroyed after lookup
+        fatal(cat("unknown session '", session.id, "'"));
+    if (need == Need::idle && session.runActive)
         fatal(cat("session ", session.id,
                   ": run in progress (mutating commands must wait for "
                   "its reply)"));
@@ -87,6 +117,53 @@ okHeader(const Session &session, JsonWriter &w)
 }
 
 } // namespace
+
+/** One request as its handler sees it; the handlers are its members. */
+struct Service::Call
+{
+    Service &svc;
+    const JsonValue &req;
+    /** The row's session, locked and checked; null for `none` rows. */
+    std::shared_ptr<Session> session;
+    /** An async row's reply; its handler takes it when it accepts. */
+    RunReplyFn &deferred;
+
+#define RISCSERVED_HANDLER(name, need, reply) std::string name();
+    RISCSERVED_COMMANDS(RISCSERVED_HANDLER)
+#undef RISCSERVED_HANDLER
+
+    struct Row
+    {
+        std::string_view name;
+        std::string (Call::*handler)();
+        Need need;
+        Reply reply;
+    };
+    static const Row table[numCommands];
+
+    /** @return @p cmd's row. @throws FatalError for an unknown name. */
+    static std::size_t find(std::string_view cmd);
+};
+
+const Service::Call::Row Service::Call::table[numCommands] = {
+#define RISCSERVED_ROW(name, need, reply)                                 \
+    {#name, &Call::name, Need::need, Reply::reply},
+    RISCSERVED_COMMANDS(RISCSERVED_ROW)
+#undef RISCSERVED_ROW
+};
+
+std::size_t
+Service::Call::find(std::string_view cmd)
+{
+    for (std::size_t row = 0; row < numCommands; ++row)
+        if (table[row].name == cmd)
+            return row;
+    std::string names;
+    for (const Row &row : table)
+        names += cat(names.empty() ? "" : ", ", row.name);
+    fatal(cat("unknown command '", cmd, "' (expected one of: ", names,
+              ")"));
+}
 
 std::string
 errorPayload(std::string_view message)
@@ -114,11 +191,10 @@ Service::Service(ServiceConfig config)
     schedTurns_ = &registry_.counter("sched.turns");
     schedQueueWaitNs_ = &registry_.histogram("sched.queueWait.ns");
     schedTurnNs_ = &registry_.histogram("sched.turn.ns");
-    for (const char *cmd : kCommands)
-        cmdHistograms_.emplace(cmd,
-                               &registry_.histogram(
-                                   cat("cmd.", cmd, ".ns")));
-    cmdOtherNs_ = &registry_.histogram("cmd.other.ns");
+    for (const Call::Row &row : Call::table)
+        cmdNs_.push_back(
+            &registry_.histogram(cat("cmd.", row.name, ".ns")));
+    cmdNs_.push_back(&registry_.histogram("cmd.other.ns"));
     registry_.onCollect([this] { collectGauges(); });
 
     if (eventLog_.enabled(obs::EventLevel::Info))
@@ -141,26 +217,15 @@ Service::uptimeMs() const
             .count());
 }
 
-obs::Histogram &
-Service::commandHistogram(std::string_view cmd)
-{
-    // The table is immutable after construction, so no lock is needed.
-    const auto it = cmdHistograms_.find(std::string(cmd));
-    return it != cmdHistograms_.end() ? *it->second : *cmdOtherNs_;
-}
-
 void
-Service::finishCommand(std::string_view cmd, Clock::time_point t0,
-                       const std::string &request,
-                       const std::string &payload)
+Service::finishCommand(std::size_t row, std::string_view cmd,
+                       Clock::time_point t0, const std::string &request,
+                       const std::string &payload, bool failed)
 {
     const std::uint64_t ns = nsSince(t0);
-    commandHistogram(cmd).record(ns);
+    cmdNs_[row]->record(ns);
     bytesOut_->add(payload.size());
-    // errorPayload() renders a fixed prefix; cheaper than re-parsing.
-    static const std::string errPrefix =
-        errorPayload("x").substr(0, 14);
-    if (payload.compare(0, errPrefix.size(), errPrefix) == 0)
+    if (failed)
         errors_->add(1);
     const double ms = double(ns) / 1e6;
     if (config_.slowMs > 0.0 && ms >= config_.slowMs) {
@@ -221,7 +286,11 @@ Service::execute(const std::string &requestJson, ReplyFn reply)
     bytesIn_->add(requestJson.size());
 
     std::string cmd;
+    std::size_t row = numCommands; // cmd.other.ns until cmd resolves
     std::string payload;
+    bool failed = false;
+    bool accepted = false; // an async handler took the reply
+    RunReplyFn deferred;
     try {
         if (stopping_.load(std::memory_order_acquire))
             fatal("server shutting down");
@@ -232,57 +301,47 @@ Service::execute(const std::string &requestJson, ReplyFn reply)
         cmd = req.stringOr("cmd", "");
         if (cmd.empty())
             fatal("request missing 'cmd'");
+        row = Call::find(cmd);
+        const Call::Row &command = Call::table[row];
 
-        if (cmd == "run") {
-            // A run replies asynchronously from its final engine turn;
-            // wrap the reply so accept-to-final-reply latency lands in
-            // cmd.run.ns — the same interval the client measures.
-            ReplyFn wrapped = [this, t0, requestJson,
-                               inner = std::move(reply)](
-                                  std::string runPayload) {
-                finishCommand("run", t0, requestJson, runPayload);
-                inner(std::move(runPayload));
-            };
-            cmdRun(req, wrapped); // owns the (possibly deferred) reply
-            return;
+        Call call{*this, req, nullptr, deferred};
+        std::unique_lock<std::mutex> lock;
+        if (command.need != Need::none) {
+            call.session = needSession(sessions_, req);
+            lock = std::unique_lock(call.session->mutex);
+            require(*call.session, command.need);
         }
-        if (cmd == "ping")
-            payload = cmdPing();
-        else if (cmd == "info")
-            payload = cmdInfo();
-        else if (cmd == "telemetry")
-            payload = cmdTelemetry(req);
-        else if (cmd == "create")
-            payload = cmdCreate(req);
-        else if (cmd == "destroy")
-            payload = cmdDestroy(req);
-        else if (cmd == "step")
-            payload = cmdStep(req);
-        else if (cmd == "peek")
-            payload = cmdPeek(req);
-        else if (cmd == "regs")
-            payload = cmdRegs(req);
-        else if (cmd == "stats")
-            payload = cmdStats(req);
-        else if (cmd == "snapshot")
-            payload = cmdSnapshot(req);
-        else if (cmd == "fork")
-            payload = cmdFork(req);
-        else if (cmd == "evict")
-            payload = cmdEvict(req);
-        else if (cmd == "drop")
-            payload = cmdDrop(req);
-        else
-            fatal(cat("unknown command '", cmd, "'"));
+        if (command.reply == Reply::async)
+            // The reply comes from the command's last engine turn; the
+            // wrapper puts accept-to-final-reply latency into its
+            // histogram, the same interval the client measures.
+            deferred = [this, row, t0, requestJson,
+                        inner = std::move(reply)](std::string p,
+                                                  bool error) {
+                finishCommand(row, Call::table[row].name, t0,
+                              requestJson, p, error);
+                inner(std::move(p));
+            };
+        payload = (call.*command.handler)();
+        accepted = command.reply == Reply::async;
     } catch (const std::exception &e) {
         payload = errorPayload(e.what());
+        failed = true;
     }
-    finishCommand(cmd, t0, requestJson, payload);
+    if (accepted) {
+        pump(); // the session is unlocked now; start its first turn
+        return;
+    }
+    if (deferred) { // refused before its handler took the reply
+        deferred(std::move(payload), failed);
+        return;
+    }
+    finishCommand(row, cmd, t0, requestJson, payload, failed);
     reply(std::move(payload));
 }
 
 std::string
-Service::cmdPing() const
+Service::Call::ping()
 {
     JsonWriter w;
     w.beginObject().field("ok", true).field("server", "riscserved")
@@ -291,30 +350,22 @@ Service::cmdPing() const
 }
 
 std::string
-Service::cmdInfo()
+Service::Call::info()
 {
-    const SessionCounts c = sessions_.counts();
-    std::size_t ready = 0;
-    std::size_t inFlight = 0;
-    std::size_t pending = 0;
-    {
-        std::lock_guard sched(schedMutex_);
-        ready = ready_.size();
-        inFlight = inFlight_;
-        pending = pendingRuns_;
-    }
+    const SessionCounts c = svc.sessions_.counts();
+    const ServiceConfig &config = svc.config_;
     JsonWriter w;
     w.beginObject()
         .field("ok", true)
         .field("server", kServerName)
         .field("protocolVersion", std::uint64_t(1))
-        .field("uptimeMs", uptimeMs())
-        .field("workers", std::uint64_t(engine_.workers()))
-        .field("queueDepth", std::uint64_t(engine_.queueDepth()))
-        .field("queueCapacity", std::uint64_t(engine_.capacity()))
-        .field("quota", config_.quota)
-        .field("ttlMs", std::int64_t(config_.ttlMs))
-        .field("maxSessions", std::uint64_t(config_.maxSessions));
+        .field("uptimeMs", svc.uptimeMs())
+        .field("workers", std::uint64_t(svc.engine_.workers()))
+        .field("queueDepth", std::uint64_t(svc.engine_.queueDepth()))
+        .field("queueCapacity", std::uint64_t(svc.engine_.capacity()))
+        .field("quota", config.quota)
+        .field("ttlMs", std::int64_t(config.ttlMs))
+        .field("maxSessions", std::uint64_t(config.maxSessions));
     w.key("sessions")
         .beginObject()
         .field("alive", std::uint64_t(c.sessions))
@@ -332,21 +383,24 @@ Service::cmdInfo()
         .field("residentBytes", c.residentBytes)
         .field("sharedBytes", c.sharedBytes)
         .endObject();
-    w.key("runs")
-        .beginObject()
-        .field("pending", std::uint64_t(pending))
-        .field("ready", std::uint64_t(ready))
-        .field("inFlight", std::uint64_t(inFlight))
-        .endObject();
+    {
+        std::lock_guard sched(svc.schedMutex_);
+        w.key("runs")
+            .beginObject()
+            .field("pending", std::uint64_t(svc.pendingRuns_))
+            .field("ready", std::uint64_t(svc.ready_.size()))
+            .field("inFlight", std::uint64_t(svc.inFlight_))
+            .endObject();
+    }
     // Lifetime command totals (the registry's server.* counters) and
     // build identity, so one `info` answers "what is this daemon and
     // how much has it served".
     w.key("commands")
         .beginObject()
-        .field("total", requests_->value())
-        .field("errors", errors_->value())
-        .field("bytesIn", bytesIn_->value())
-        .field("bytesOut", bytesOut_->value())
+        .field("total", svc.requests_->value())
+        .field("errors", svc.errors_->value())
+        .field("bytesIn", svc.bytesIn_->value())
+        .field("bytesOut", svc.bytesOut_->value())
         .endObject();
     w.key("build")
         .beginObject()
@@ -359,7 +413,7 @@ Service::cmdInfo()
 }
 
 std::string
-Service::cmdTelemetry(const JsonValue &req)
+Service::Call::telemetry()
 {
     const std::string format = req.stringOr("format", "json");
     if (format == "prometheus") {
@@ -367,7 +421,7 @@ Service::cmdTelemetry(const JsonValue &req)
         w.beginObject()
             .field("ok", true)
             .field("format", "prometheus")
-            .field("exposition", registry_.prometheus())
+            .field("exposition", svc.registry_.prometheus())
             .endObject();
         return w.str();
     }
@@ -375,25 +429,26 @@ Service::cmdTelemetry(const JsonValue &req)
         fatal(cat("telemetry: unknown format '", format,
                   "' (expected json or prometheus)"));
     JsonWriter w;
-    w.beginObject().field("ok", true).field("uptimeMs", uptimeMs());
+    w.beginObject().field("ok", true).field("uptimeMs", svc.uptimeMs());
     w.key("telemetry");
-    registry_.writeJson(w);
+    svc.registry_.writeJson(w);
     w.endObject();
     return w.str();
 }
 
 std::string
-Service::cmdCreate(const JsonValue &req)
+Service::Call::create()
 {
     SessionConfig cfg;
     cfg.backend = std::string(
         target::canonicalBackend(req.stringOr("backend", "risc")));
     cfg.fast = req.boolOr("fast", true);
 
-    const std::uint64_t mem = req.u64Or("mem", config_.defaultMemBytes);
-    if (mem < kMinMemBytes || mem > config_.maxMemBytes)
-        fatal(cat("create: mem must be ", kMinMemBytes, "..",
-                  config_.maxMemBytes, " bytes, got ", mem));
+    const std::uint64_t maxMem = svc.config_.maxMemBytes;
+    const std::uint64_t mem = req.u64Or("mem", svc.config_.defaultMemBytes);
+    if (mem < kMinMemBytes || mem > maxMem)
+        fatal(cat("create: mem must be ", kMinMemBytes, "..", maxMem,
+                  " bytes, got ", mem));
     if (mem % Memory::pageBytes != 0)
         fatal(cat("create: mem must be a multiple of ", Memory::pageBytes,
                   " bytes, got ", mem));
@@ -416,7 +471,7 @@ Service::cmdCreate(const JsonValue &req)
     risc.windowedCalls = req.boolOr("windowed", true);
 
     const auto cacheLevel =
-        [&req](const char *key) -> std::optional<mem::LevelConfig> {
+        [this](const char *key) -> std::optional<mem::LevelConfig> {
         const JsonValue *spec = req.find(key);
         if (!spec)
             return std::nullopt;
@@ -447,27 +502,24 @@ Service::cmdCreate(const JsonValue &req)
     auto target = target::makeTarget(cfg.backend, cfg.options);
     target->load(text);
 
-    const auto session = sessions_.create(std::move(cfg));
+    const auto created = svc.sessions_.create(std::move(cfg));
     std::uint64_t codeBytes = 0;
     {
-        std::lock_guard lock(session->mutex);
-        session->target = std::move(target);
-        codeBytes = session->target->codeBytes();
-        touch(*session);
+        std::lock_guard lock(created->mutex);
+        created->target = std::move(target);
+        codeBytes = created->target->codeBytes();
+        touch(*created);
     }
     JsonWriter w;
-    okHeader(*session, w);
+    okHeader(*created, w);
     w.field("memBytes", mem).field("codeBytes", codeBytes).endObject();
     return w.str();
 }
 
 std::string
-Service::cmdDestroy(const JsonValue &req)
+Service::Call::destroy()
 {
-    const auto session = needSession(req);
-    std::lock_guard lock(session->mutex);
-    requireIdle(*session);
-    sessions_.destroy(*session);
+    svc.sessions_.destroy(*session);
     JsonWriter w;
     w.beginObject().field("ok", true).field("session", session->id)
         .endObject();
@@ -475,24 +527,21 @@ Service::cmdDestroy(const JsonValue &req)
 }
 
 std::string
-Service::cmdStep(const JsonValue &req)
+Service::Call::step()
 {
-    const auto session = needSession(req);
     const std::uint64_t count = req.u64Or("count", 1);
-    if (count < 1 || count > config_.maxStepCount)
-        fatal(cat("step: count must be 1..", config_.maxStepCount,
+    if (count < 1 || count > svc.config_.maxStepCount)
+        fatal(cat("step: count must be 1..", svc.config_.maxStepCount,
                   ", got ", count));
 
-    std::lock_guard lock(session->mutex);
-    requireIdle(*session);
-    sessions_.ensureResident(*session);
+    svc.sessions_.ensureResident(*session);
     const auto t0 = Clock::now();
     std::uint64_t done = 0;
     while (done < count && !session->target->halted()) {
         session->target->step();
         ++done;
     }
-    session->metrics.execMs += msSince(t0);
+    session->metrics.execMs += double(nsSince(t0)) / 1e6;
     session->metrics.steps += done;
     touch(*session);
 
@@ -505,52 +554,39 @@ Service::cmdStep(const JsonValue &req)
     return w.str();
 }
 
-void
-Service::cmdRun(const JsonValue &req, ReplyFn &reply)
+std::string
+Service::Call::run()
 {
-    std::shared_ptr<Session> session;
-    try {
-        session = needSession(req);
-        const std::uint64_t maxSteps =
-            req.u64Or("maxSteps", kDefaultRunSteps);
-        if (maxSteps < 1 || maxSteps > config_.maxRunSteps)
-            fatal(cat("run: maxSteps must be 1..", config_.maxRunSteps,
-                      ", got ", maxSteps));
-
-        std::lock_guard lock(session->mutex);
-        requireIdle(*session);
-        {
-            std::lock_guard sched(schedMutex_);
-            if (stopping_.load(std::memory_order_relaxed))
-                fatal("server shutting down");
-            if (config_.maxPendingRuns != 0 &&
-                pendingRuns_ >= config_.maxPendingRuns)
-                fatal(cat("server overloaded: ", pendingRuns_,
-                          " runs pending (limit ", config_.maxPendingRuns,
-                          "); retry after a run completes"));
-            ++pendingRuns_;
-        }
-        touch(*session);
-        session->runActive = true;
-        session->run.remaining = maxSteps;
-        session->run.executed = 0;
-        session->run.reply = std::move(reply);
-        session->run.enqueuedAt = Clock::now();
-    } catch (const std::exception &e) {
-        reply(errorPayload(e.what()));
-        return;
-    }
+    const std::uint64_t maxSteps = req.u64Or("maxSteps", kDefaultRunSteps);
+    if (maxSteps < 1 || maxSteps > svc.config_.maxRunSteps)
+        fatal(cat("run: maxSteps must be 1..", svc.config_.maxRunSteps,
+                  ", got ", maxSteps));
     {
-        std::lock_guard sched(schedMutex_);
-        ready_.push_back(std::move(session));
+        std::lock_guard sched(svc.schedMutex_);
+        if (svc.stopping_.load(std::memory_order_relaxed))
+            fatal("server shutting down");
+        const std::size_t limit = svc.config_.maxPendingRuns;
+        if (limit != 0 && svc.pendingRuns_ >= limit)
+            fatal(cat("server overloaded: ", svc.pendingRuns_,
+                      " runs pending (limit ", limit,
+                      "); retry after a run completes"));
+        ++svc.pendingRuns_;
+        // Its turns wait on the session mutex, held until the run
+        // state below is set.
+        svc.ready_.push_back(session);
     }
-    pump();
+    touch(*session);
+    session->runActive = true;
+    session->run.remaining = maxSteps;
+    session->run.executed = 0;
+    session->run.reply = std::move(deferred);
+    session->run.enqueuedAt = Clock::now();
+    return {};
 }
 
 std::string
-Service::cmdPeek(const JsonValue &req)
+Service::Call::peek()
 {
-    const auto session = needSession(req);
     const JsonValue *addrValue = req.find("addr");
     if (!addrValue)
         fatal("peek: request missing 'addr'");
@@ -562,9 +598,7 @@ Service::cmdPeek(const JsonValue &req)
     if (addr > 0xffffffffu || addr + count * 4 - 1 > 0xffffffffu)
         fatal(cat("peek: address range out of 32-bit space"));
 
-    std::lock_guard lock(session->mutex);
-    requireAlive(*session);
-    sessions_.ensureResident(*session);
+    svc.sessions_.ensureResident(*session);
     touch(*session);
 
     JsonWriter w;
@@ -578,12 +612,9 @@ Service::cmdPeek(const JsonValue &req)
 }
 
 std::string
-Service::cmdRegs(const JsonValue &req)
+Service::Call::regs()
 {
-    const auto session = needSession(req);
-    std::lock_guard lock(session->mutex);
-    requireAlive(*session);
-    sessions_.ensureResident(*session);
+    svc.sessions_.ensureResident(*session);
     touch(*session);
 
     JsonWriter w;
@@ -599,12 +630,9 @@ Service::cmdRegs(const JsonValue &req)
 }
 
 std::string
-Service::cmdStats(const JsonValue &req)
+Service::Call::stats()
 {
-    const auto session = needSession(req);
-    std::lock_guard lock(session->mutex);
-    requireAlive(*session);
-    sessions_.ensureResident(*session);
+    svc.sessions_.ensureResident(*session);
     touch(*session);
 
     const auto stats = session->target->stats();
@@ -630,14 +658,11 @@ Service::cmdStats(const JsonValue &req)
 }
 
 std::string
-Service::cmdSnapshot(const JsonValue &req)
+Service::Call::snapshot()
 {
-    const auto session = needSession(req);
-    std::lock_guard lock(session->mutex);
-    requireIdle(*session);
-    sessions_.ensureResident(*session);
+    svc.sessions_.ensureResident(*session);
     touch(*session);
-    const std::string id = sessions_.storeSnapshot(
+    const std::string id = svc.sessions_.storeSnapshot(
         StoredSnapshot{session->target->snapshot(), session->cfg});
     JsonWriter w;
     okHeader(*session, w);
@@ -646,7 +671,7 @@ Service::cmdSnapshot(const JsonValue &req)
 }
 
 std::string
-Service::cmdFork(const JsonValue &req)
+Service::Call::fork()
 {
     const std::string snapId = req.stringOr("snapshot", "");
     const std::string srcId = req.stringOr("session", "");
@@ -656,7 +681,7 @@ Service::cmdFork(const JsonValue &req)
     std::unique_ptr<target::Target> target;
     SessionConfig cfg;
     if (!snapId.empty()) {
-        const auto stored = sessions_.findSnapshot(snapId);
+        const auto stored = svc.sessions_.findSnapshot(snapId);
         if (!stored)
             fatal(cat("unknown snapshot '", snapId, "'"));
         cfg = stored->cfg;
@@ -666,10 +691,11 @@ Service::cmdFork(const JsonValue &req)
         target = target::makeTarget(cfg.backend, cfg.options);
         target->restore(*stored->snap);
     } else {
-        const auto src = needSession(req);
+        // The table's `none`: the source session is only needed here.
+        const auto src = needSession(svc.sessions_, req);
         std::lock_guard lock(src->mutex);
-        requireIdle(*src);
-        sessions_.ensureResident(*src);
+        require(*src, Need::idle);
+        svc.sessions_.ensureResident(*src);
         touch(*src);
         // Clone the live machine directly — O(pages touched) handle
         // adoption, no content copied (Target::fork).
@@ -677,26 +703,23 @@ Service::cmdFork(const JsonValue &req)
         cfg = src->cfg;
     }
 
-    const auto session = sessions_.create(std::move(cfg));
+    const auto forked = svc.sessions_.create(std::move(cfg));
     {
-        std::lock_guard lock(session->mutex);
-        session->target = std::move(target);
-        touch(*session);
+        std::lock_guard lock(forked->mutex);
+        forked->target = std::move(target);
+        touch(*forked);
     }
     JsonWriter w;
-    okHeader(*session, w);
+    okHeader(*forked, w);
     w.endObject();
     return w.str();
 }
 
 std::string
-Service::cmdEvict(const JsonValue &req)
+Service::Call::evict()
 {
-    const auto session = needSession(req);
-    std::lock_guard lock(session->mutex);
-    requireIdle(*session);
     ++session->metrics.commands; // deliberately no lastActive touch
-    sessions_.evict(*session);
+    svc.sessions_.evict(*session);
     JsonWriter w;
     okHeader(*session, w);
     w.field("resident", false).endObject();
@@ -704,28 +727,16 @@ Service::cmdEvict(const JsonValue &req)
 }
 
 std::string
-Service::cmdDrop(const JsonValue &req)
+Service::Call::drop()
 {
     const std::string id = req.stringOr("snapshot", "");
     if (id.empty())
         fatal("drop: request missing 'snapshot'");
-    if (!sessions_.dropSnapshot(id))
+    if (!svc.sessions_.dropSnapshot(id))
         fatal(cat("unknown snapshot '", id, "'"));
     JsonWriter w;
     w.beginObject().field("ok", true).field("snapshot", id).endObject();
     return w.str();
-}
-
-std::shared_ptr<Session>
-Service::needSession(const JsonValue &req) const
-{
-    const std::string id = req.stringOr("session", "");
-    if (id.empty())
-        fatal("request missing 'session'");
-    auto session = sessions_.find(id);
-    if (!session)
-        fatal(cat("unknown session '", id, "'"));
-    return session;
 }
 
 void
@@ -745,19 +756,16 @@ Service::pump()
 void
 Service::runTurn(const std::shared_ptr<Session> &session)
 {
-    ReplyFn reply;
+    RunReplyFn reply;
     std::string payload;
+    bool failed = true;
     bool requeue = false;
     {
         std::lock_guard lock(session->mutex);
-        if (!session->runActive) {
-            // stop() already drained this run; nothing to do.
-        } else if (stopping_.load(std::memory_order_acquire)) {
-            payload = errorPayload("server shutting down");
-            reply = std::move(session->run.reply);
-            session->runActive = false;
-        } else {
+        if (session->runActive) { // else stop() already drained this run
             try {
+                if (stopping_.load(std::memory_order_acquire))
+                    fatal("server shutting down");
                 schedQueueWaitNs_->record(
                     nsSince(session->run.enqueuedAt));
                 sessions_.ensureResident(*session);
@@ -766,8 +774,9 @@ Service::runTurn(const std::shared_ptr<Session> &session)
                 const auto t0 = Clock::now();
                 const RunOutcome out =
                     session->target->run(quota, session->cfg.fast);
-                session->metrics.execMs += msSince(t0);
-                schedTurnNs_->record(nsSince(t0));
+                const std::uint64_t turnNs = nsSince(t0);
+                session->metrics.execMs += double(turnNs) / 1e6;
+                schedTurnNs_->record(turnNs);
                 schedTurns_->add(1);
                 ++session->metrics.turns;
                 session->metrics.steps += out.steps;
@@ -786,14 +795,15 @@ Service::runTurn(const std::shared_ptr<Session> &session)
                         .field("checksum", session->target->checksum())
                         .endObject();
                     payload = w.str();
-                    reply = std::move(session->run.reply);
-                    session->runActive = false;
+                    failed = false;
                 } else {
                     session->run.enqueuedAt = Clock::now();
                     requeue = true;
                 }
             } catch (const std::exception &e) {
                 payload = errorPayload(e.what());
+            }
+            if (!requeue) {
                 reply = std::move(session->run.reply);
                 session->runActive = false;
             }
@@ -804,23 +814,17 @@ Service::runTurn(const std::shared_ptr<Session> &session)
         bool drained = false;
         {
             std::lock_guard sched(schedMutex_);
-            if (stopping_.load(std::memory_order_relaxed))
-                drained = true; // stop() already swept the ready queue
-            else
+            // stop() may already have swept the ready queue.
+            drained = stopping_.load(std::memory_order_relaxed);
+            if (!drained)
                 ready_.push_back(session);
         }
-        if (drained) {
-            std::lock_guard lock(session->mutex);
-            if (session->runActive) {
-                payload = errorPayload("server shutting down");
-                reply = std::move(session->run.reply);
-                session->runActive = false;
-            }
-        }
+        if (drained)
+            failRun(session, "server shutting down");
     }
 
     if (reply)
-        reply(std::move(payload));
+        reply(std::move(payload), failed);
 
     {
         std::lock_guard sched(schedMutex_);
@@ -835,7 +839,7 @@ void
 Service::failRun(const std::shared_ptr<Session> &session,
                  std::string_view message)
 {
-    ReplyFn reply;
+    RunReplyFn reply;
     {
         std::lock_guard lock(session->mutex);
         if (!session->runActive)
@@ -844,7 +848,7 @@ Service::failRun(const std::shared_ptr<Session> &session,
         session->runActive = false;
     }
     if (reply)
-        reply(errorPayload(message));
+        reply(errorPayload(message), true);
     std::lock_guard sched(schedMutex_);
     if (pendingRuns_ > 0)
         --pendingRuns_;
@@ -854,15 +858,10 @@ void
 Service::stop()
 {
     std::deque<std::shared_ptr<Session>> drain;
-    bool first = false;
+    bool first = false; // a later stop() only repeats the joins
     {
         std::lock_guard sched(schedMutex_);
-        if (!stopping_.exchange(true, std::memory_order_acq_rel)) {
-            first = true;
-        } else {
-            // Another stop() is (or was) in flight; fall through to
-            // the joins, which are themselves idempotent.
-        }
+        first = !stopping_.exchange(true, std::memory_order_acq_rel);
         drain.swap(ready_);
     }
     if (first && eventLog_.enabled(obs::EventLevel::Info))

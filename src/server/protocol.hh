@@ -10,16 +10,19 @@
  * drive it directly with strings — so every protocol behavior is
  * testable without opening a socket.
  *
- * Scheduling model.  Immediate commands (create, step, peek, regs,
- * stats, snapshot, fork, evict, destroy, info, ping) run synchronously
- * on the calling thread, serialized per-session by the session mutex.
- * A `run` command is sliced into quota-bounded turns executed on the
- * engine pool: the session joins a FIFO ready queue, each turn
- * executes at most `quota` instructions, and an unfinished run rejoins
- * the queue tail — round-robin fairness across however many sessions
- * are runnable.  Turns enter the engine through trySubmit(), so the
- * bounded engine queue applies backpressure: when it is full the
- * overflow waits in the ready queue and is pumped in as turns retire.
+ * Commands.  RISCSERVED_COMMANDS (protocol.cc) is the one list of
+ * commands: per row the handler, the session it needs, which execute()
+ * looks up, locks and checks first, and whether it replies later.
+ *
+ * Scheduling model.  Every command but `run` replies synchronously on
+ * the calling thread.  A `run` command is sliced into quota-bounded
+ * turns executed on the engine pool: the session joins a FIFO ready
+ * queue, each turn executes at most `quota` instructions, and an
+ * unfinished run rejoins the queue tail — round-robin fairness across
+ * however many sessions are runnable.  Turns enter the engine through
+ * trySubmit(), so the bounded engine queue applies backpressure: when
+ * it is full the overflow waits in the ready queue and is pumped in as
+ * turns retire.
  *
  * Every request receives exactly one reply, including at shutdown:
  * stop() fails queued and in-flight runs with a "server shutting down"
@@ -39,7 +42,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <vector>
 
 #include "obs/registry.hh"
 #include "server/session.hh"
@@ -159,26 +162,9 @@ class Service
     std::uint64_t uptimeMs() const;
 
   private:
-    // Immediate command handlers; return the response payload.
-    std::string cmdPing() const;
-    std::string cmdInfo();
-    std::string cmdTelemetry(const JsonValue &req);
-    std::string cmdCreate(const JsonValue &req);
-    std::string cmdDestroy(const JsonValue &req);
-    std::string cmdStep(const JsonValue &req);
-    std::string cmdPeek(const JsonValue &req);
-    std::string cmdRegs(const JsonValue &req);
-    std::string cmdStats(const JsonValue &req);
-    std::string cmdSnapshot(const JsonValue &req);
-    std::string cmdFork(const JsonValue &req);
-    std::string cmdEvict(const JsonValue &req);
-    std::string cmdDrop(const JsonValue &req);
-
-    /** Accept a `run` (replies asynchronously once accepted). */
-    void cmdRun(const JsonValue &req, ReplyFn &reply);
-
-    /** Resolve the request's "session" or fail. */
-    std::shared_ptr<Session> needSession(const JsonValue &req) const;
+    /** One request as its handler sees it, and the command table
+     *  (protocol.cc). */
+    struct Call;
 
     /** Move ready sessions into the engine while it has room. */
     void pump();
@@ -194,18 +180,17 @@ class Service
     void sweepLoop();
     void sweepOnce();
 
-    /** Per-command latency histogram handle ("cmd.<name>.ns"). */
-    obs::Histogram &commandHistogram(std::string_view cmd);
-
     /**
-     * Record one finished command: latency into its histogram, reply
-     * size into server.bytesOut, errors into server.errors, and a
-     * `slow.command` event when the --slow-ms threshold is crossed.
+     * Record one finished command: latency into the histogram of
+     * command-table @p row (one past the last row: cmd.other.ns),
+     * reply size into server.bytesOut, a @p failed reply into
+     * server.errors, and a `slow.command` event when the --slow-ms
+     * threshold is crossed.
      */
-    void finishCommand(std::string_view cmd,
+    void finishCommand(std::size_t row, std::string_view cmd,
                        std::chrono::steady_clock::time_point t0,
                        const std::string &request,
-                       const std::string &payload);
+                       const std::string &payload, bool failed);
 
     /** Sample queue depths, fleet memory etc. into gauges (the
      *  registry collect hook). */
@@ -232,8 +217,8 @@ class Service
     obs::Counter *schedTurns_ = nullptr;
     obs::Histogram *schedQueueWaitNs_ = nullptr;
     obs::Histogram *schedTurnNs_ = nullptr;
-    std::unordered_map<std::string, obs::Histogram *> cmdHistograms_;
-    obs::Histogram *cmdOtherNs_ = nullptr;
+    /** cmd.<name>.ns by command-table row, then cmd.other.ns. */
+    std::vector<obs::Histogram *> cmdNs_;
 
     std::atomic<bool> stopping_{false};
 

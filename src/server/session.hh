@@ -48,13 +48,16 @@ struct SessionConfig
     bool fast = true;                   ///< run through the fast path
 };
 
+/** A deferred reply: the JSON response payload, and whether it is an
+ *  error. */
+using RunReplyFn = std::function<void(std::string payload, bool failed)>;
+
 /** Scheduling state of an in-progress `run` command. */
 struct PendingRun
 {
     std::uint64_t remaining = 0;  ///< steps still budgeted
     std::uint64_t executed = 0;   ///< steps retired by earlier turns
-    /** Completion callback: receives the JSON response payload. */
-    std::function<void(std::string)> reply;
+    RunReplyFn reply;
     /** When the session (re)joined the ready queue, for the
      *  sched.queueWait.ns histogram. */
     std::chrono::steady_clock::time_point enqueuedAt{};
