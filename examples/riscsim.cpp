@@ -263,7 +263,10 @@ main(int argc, char **argv)
             } else if (arg == "--no-windows") {
                 windowed = false;
             } else if (arg == "--windows" && i + 1 < args.size()) {
-                windows = static_cast<unsigned>(std::stoul(args[++i]));
+                const unsigned long long n = std::stoull(args[++i]);
+                if (n > 0xffffffffu)
+                    fatal(cat("--windows ", n, " does not fit in 32 bits"));
+                windows = static_cast<unsigned>(n);
             } else if (arg == "--max-steps" && i + 1 < args.size()) {
                 maxSteps = std::stoull(args[++i]);
             } else if (arg == "--l1i" && i + 1 < args.size()) {
@@ -290,7 +293,7 @@ main(int argc, char **argv)
                     : runRisc(source, windows, windowed, trace,
                               traceJsonl, disasmOnly, reorganize,
                               maxSteps, caches);
-    } catch (const FatalError &e) {
+    } catch (const std::exception &e) {
         std::cerr << "riscsim: " << e.what() << "\n";
         return 1;
     }

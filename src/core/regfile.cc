@@ -23,8 +23,10 @@ RegFile::RegFile(const WindowConfig &config)
 {
     if (config_.numGlobals + config_.numLocals + 2 * config_.overlap != 32)
         fatal("window config must expose exactly 32 visible registers");
-    if (config_.numWindows < 2)
-        fatal("window config needs at least 2 windows");
+    if (config_.numWindows < 2 ||
+        config_.numWindows > WindowConfig::maxWindows)
+        fatal(cat("window config needs 2..", WindowConfig::maxWindows,
+                  " windows, got ", config_.numWindows));
     phys_.assign(config_.physRegs(), 0);
 }
 

@@ -31,6 +31,11 @@ struct WindowConfig
     unsigned overlap = 6;       ///< LOW/HIGH size
     unsigned numWindows = 8;    ///< physical window frames
 
+    /** Most windows a RegFile accepts: far above the 2..16 the
+     *  experiments sweep, and small enough that physRegs() cannot
+     *  overflow. */
+    static constexpr unsigned maxWindows = 1024;
+
     /** Registers a window frame contributes (locals + one overlap). */
     unsigned frameSize() const { return numLocals + overlap; }
 

@@ -466,8 +466,12 @@ Service::Call::create()
     vax.memorySize = static_cast<std::uint32_t>(mem);
     vax.stackTop = static_cast<std::uint32_t>(mem - mem / 16);
 
-    if (const JsonValue *windows = req.find("windows"))
-        risc.windows.numWindows = static_cast<unsigned>(windows->asU64());
+    if (const JsonValue *windows = req.find("windows")) {
+        const std::uint64_t n = windows->asU64();
+        if (n > 0xffffffffu)
+            fatal(cat("create: windows ", n, " does not fit in 32 bits"));
+        risc.windows.numWindows = static_cast<unsigned>(n);
+    }
     risc.windowedCalls = req.boolOr("windowed", true);
 
     const auto cacheLevel =

@@ -110,8 +110,12 @@ materialize(const RawJob &raw, std::size_t jobIndex,
             file = value;
             fileLine = line;
         } else if (key == "windows") {
-            job.config.risc.windows.numWindows = static_cast<unsigned>(
-                parseUint(value, line, key));
+            const std::uint64_t windows = parseUint(value, line, key);
+            if (windows > 0xffffffffu)
+                fatal(cat("job file line ", line, ": windows ", windows,
+                          " does not fit in 32 bits"));
+            job.config.risc.windows.numWindows =
+                static_cast<unsigned>(windows);
         } else if (key == "windowed") {
             job.config.risc.windowedCalls = parseBool(value, line, key);
         } else if (key == "l1i" || key == "l1d" || key == "l2") {

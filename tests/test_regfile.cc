@@ -31,6 +31,25 @@ TEST(WindowConfig, BadGeometryRejected)
     EXPECT_THROW(RegFile{one}, FatalError);
 }
 
+TEST(WindowConfig, WindowCountAboveMaximumRejected)
+{
+    // 2^28 windows once wrapped physRegs() to 10 and let register
+    // accesses run off the end of the file.
+    WindowConfig huge;
+    huge.numWindows = 268435456;
+    EXPECT_THROW(RegFile{huge}, FatalError);
+    WindowConfig over;
+    over.numWindows = WindowConfig::maxWindows + 1;
+    EXPECT_THROW(RegFile{over}, FatalError);
+
+    WindowConfig most;
+    most.numWindows = WindowConfig::maxWindows;
+    EXPECT_GE(WindowConfig::maxWindows, 16u); // the sweeps use 2..16
+    const RegFile regs{most};
+    EXPECT_EQ(regs.physRegs().size(), most.physRegs());
+    EXPECT_EQ(most.physRegs(), 10u + 16u * WindowConfig::maxWindows);
+}
+
 TEST(RegGroup, Classification)
 {
     EXPECT_EQ(regGroup(0), RegGroup::Global);

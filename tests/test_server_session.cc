@@ -692,6 +692,39 @@ TEST(ServerSession, BadRequestsAreErrorsNotCrashes)
     cleanupSpool(cfg);
 }
 
+TEST(ServerSession, OutOfRangeWindowCountIsRefused)
+{
+    const auto cfg = testConfig("windows");
+    {
+        Service service(cfg);
+        Driver d(service);
+        // 2^28 windows once wrapped the register file to 10 registers
+        // (regs read out of bounds, run crashed the daemon); 2^32 + 8
+        // was narrowed to 8.
+        EXPECT_NE(d.err("{\"cmd\":\"create\",\"workload\":\"fib_rec\","
+                        "\"windows\":268435456}")
+                      .find("windows"),
+                  std::string::npos);
+        EXPECT_NE(d.err("{\"cmd\":\"create\",\"workload\":\"fib_rec\","
+                        "\"windows\":4294967304}")
+                      .find("32 bits"),
+                  std::string::npos);
+        EXPECT_EQ(d.ok("{\"cmd\":\"info\"}").find("sessions")->u64Or(
+                      "alive", 1),
+                  0u);
+
+        // The daemon still serves, and an in-range count works.
+        const std::string id =
+            d.ok("{\"cmd\":\"create\",\"workload\":\"fib_rec\","
+                 "\"windows\":4}")
+                .stringOr("session", "");
+        EXPECT_TRUE(d.ok("{\"cmd\":\"run\",\"session\":\"" + id +
+                         "\",\"maxSteps\":100000000}")
+                        .boolOr("halted", false));
+    }
+    cleanupSpool(cfg);
+}
+
 TEST(ServerSession, InfoReportsCounts)
 {
     const auto cfg = testConfig("info");

@@ -343,6 +343,30 @@ TEST(JobFile, RejectsMalformedInput)
                  FatalError);
 }
 
+TEST(JobFile, OutOfRangeWindowCountIsAnError)
+{
+    // Beyond 32 bits: refused at parse time, naming the line, rather
+    // than narrowed (4294967304 used to become 8).
+    try {
+        sim::parseJobText("[job]\nworkload = fib_rec\n"
+                          "windows = 4294967304\n");
+        FAIL() << "windows = 4294967304 was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+            << e.what();
+    }
+    // In 32 bits but above the register file's maximum: the job fails
+    // with an error instead of crashing the batch.
+    const auto jobs = sim::parseJobText("[job]\nworkload = fib_rec\n"
+                                        "windows = 268435456\n");
+    ASSERT_EQ(jobs.size(), 1u);
+    const auto results = sim::runBatch(jobs, {1});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status, sim::JobStatus::Error);
+    EXPECT_NE(results[0].error.find("windows"), std::string::npos)
+        << results[0].error;
+}
+
 TEST(JobFile, ProgramResolutionErrorsNameTheOffendingKeyLine)
 {
     // The [job] header sits on line 1; the bad keys sit further down.
