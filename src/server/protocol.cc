@@ -55,15 +55,6 @@ constexpr std::size_t numCommands =
     0 RISCSERVED_COMMANDS(RISCSERVED_COMMAND_COUNT);
 #undef RISCSERVED_COMMAND_COUNT
 
-std::uint64_t
-nsSince(Clock::time_point from)
-{
-    return std::uint64_t(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now() - from)
-            .count());
-}
-
 /** Longest request echo a slow.command event carries. */
 constexpr std::size_t kSlowEchoBytes = 256;
 

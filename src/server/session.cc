@@ -8,20 +8,7 @@
 
 namespace risc1::server {
 
-namespace {
-
 using Clock = std::chrono::steady_clock;
-
-std::uint64_t
-nsSince(Clock::time_point from)
-{
-    return std::uint64_t(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now() - from)
-            .count());
-}
-
-} // namespace
 
 SessionManager::SessionManager(std::string spoolDir,
                                std::size_t maxSessions,

@@ -40,6 +40,16 @@
 
 namespace risc1::server {
 
+/** Nanoseconds since @p from: the unit of every server `*.ns`
+ *  histogram. */
+inline std::uint64_t
+nsSince(std::chrono::steady_clock::time_point from)
+{
+    return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             std::chrono::steady_clock::now() - from)
+                             .count());
+}
+
 /** Everything needed to (re)build a session's machine. */
 struct SessionConfig
 {
