@@ -30,11 +30,15 @@
  * its own client-observed p99 (docs/OBSERVABILITY.md): server time is
  * a subset of client time (no framing, no socket), so serverP99 must
  * not exceed 2x clientP99 — the gate the report's `server` block
- * records.  It also micro-benchmarks obs::Histogram::record so the
+ * records.  The gate fails closed: a command with too few samples on
+ * either side is `undecided`, `p99Within2x` is true only when every
+ * command was gated and passed, and an undecided check fails the run
+ * like a failed one.  It also micro-benchmarks obs::Histogram::record so the
  * registry's hot-path cost is pinned in the same artifact.
  *
  * Exit status: 0 on success, 1 when any command failed, the p99 limit
- * was exceeded, or a telemetry gate failed, 2 on usage errors.
+ * was exceeded, or a telemetry gate failed or was undecided, 2 on
+ * usage errors.
  */
 
 #include <algorithm>
@@ -294,6 +298,11 @@ scrapeQuantiles(const JsonValue &telemetry, const std::string &cmd)
  * even one per quota-slice (~100k instructions) is noise.
  */
 constexpr std::uint64_t kOverheadRecords = 1'000'000;
+
+/** What the p99 cross-check needs to decide: samples on each side, and
+ *  a client p99 large enough that 2x is not lost in timer noise. */
+constexpr std::uint64_t kCrossCheckSamples = 20;
+constexpr double kCrossCheckMinClientP99Ms = 0.01;
 constexpr double kOverheadLimitNs = 250.0; // generous for sanitizers
 
 double
@@ -482,8 +491,9 @@ main(int argc, char **argv)
     // Server-vs-client p99 cross-check: the server measures
     // accept-to-reply, a strict subset of the client's
     // send-to-receive, so serverP99 > 2x clientP99 means the two
-    // views of the same load disagree.  Gated only where both sides
-    // have enough samples for a stable tail.
+    // views of the same load disagree.  Decided only where both sides
+    // have enough samples for a stable tail; otherwise `undecided`,
+    // which fails the run (a gate never passes vacuously).
     struct CrossCheck
     {
         const char *name;
@@ -492,10 +502,9 @@ main(int argc, char **argv)
         double clientP99Ms;
         ServerQuantiles server;
         bool gated;
-        bool pass;
+        bool pass; ///< gated and within 2x
     };
     std::vector<CrossCheck> crossChecks;
-    bool crossCheckOk = true;
     if (scraped) {
         for (const CommandSamples &c : merged) {
             if (std::strcmp(c.name, "snapshotFork") == 0)
@@ -506,18 +515,21 @@ main(int argc, char **argv)
             check.clientP50Ms = percentile(c.ms, 0.50);
             check.clientP99Ms = percentile(c.ms, 0.99);
             check.server = scrapeQuantiles(telemetry, c.name);
-            check.gated = check.server.present &&
-                          check.server.count >= 20 &&
-                          check.clientCount >= 20 &&
-                          check.clientP99Ms >= 0.01;
+            check.gated =
+                check.server.present &&
+                check.server.count >= kCrossCheckSamples &&
+                check.clientCount >= kCrossCheckSamples &&
+                check.clientP99Ms >= kCrossCheckMinClientP99Ms;
             check.pass =
-                !check.gated ||
+                check.gated &&
                 check.server.p99Ms <= 2.0 * check.clientP99Ms + 0.05;
-            if (!check.pass)
-                crossCheckOk = false;
             crossChecks.push_back(check);
         }
     }
+    const bool crossCheckOk =
+        !crossChecks.empty() &&
+        std::all_of(crossChecks.begin(), crossChecks.end(),
+                    [](const CrossCheck &check) { return check.pass; });
 
     const double nsPerRecord = measureRecordNs();
     const bool overheadOk = nsPerRecord < kOverheadLimitNs;
@@ -596,6 +608,9 @@ main(int argc, char **argv)
                                 : 0.0)
             .field("gated", check.gated)
             .field("pass", check.pass)
+            .field("verdict", !check.gated ? "undecided"
+                              : check.pass ? "pass"
+                                           : "fail")
             .endObject();
     }
     w.endObject().endObject();
@@ -647,8 +662,19 @@ main(int argc, char **argv)
         return 1;
     }
     if (!crossCheckOk) {
+        if (crossChecks.empty())
+            std::cerr << "riscload: no command to cross-check\n";
         for (const CrossCheck &check : crossChecks)
-            if (!check.pass)
+            if (!check.gated)
+                std::cerr << "riscload: " << check.name
+                          << ": p99 cross-check undecided: "
+                          << check.clientCount << " client and "
+                          << check.server.count
+                          << " server samples (needs "
+                          << kCrossCheckSamples
+                          << " each and a client p99 of at least "
+                          << kCrossCheckMinClientP99Ms << " ms)\n";
+            else if (!check.pass)
                 std::cerr << "riscload: " << check.name
                           << ": server p99 " << check.server.p99Ms
                           << " ms exceeds 2x client p99 "

@@ -180,16 +180,20 @@ rm -rf "$SRV_SPOOL" "$SRV_SOCK" "$SRV_LOG" \
     --event-log "$SRV_EVENTS" --slow-ms 250 \
     --metrics-dump "$SRV_METRICS" > "$SRV_LOG" 2>&1 &
 SRV_PID=$!
-i=0
-until grep -q "riscserved: ready" "$SRV_LOG" 2>/dev/null; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && {
-        echo "riscserved did not come up" >&2
-        cat "$SRV_LOG" >&2
-        exit 1
-    }
-    sleep 0.1
-done
+# wait_ready LOG: wait up to 10 s for a daemon to log that it is ready.
+wait_ready() {
+    i=0
+    until grep -q "riscserved: ready" "$1" 2>/dev/null; do
+        i=$((i + 1))
+        [ "$i" -gt 100 ] && {
+            echo "riscserved did not come up" >&2
+            cat "$1" >&2
+            exit 1
+        }
+        sleep 0.1
+    done
+}
+wait_ready "$SRV_LOG"
 "$BUILD/bench/riscload" --unix "$SRV_SOCK" \
     --connections 4 --sessions 256 --ops 120 --keep \
     --p99-limit-ms 2000 --server-metrics-out "$SRV_SCRAPE" \
@@ -254,6 +258,45 @@ grep -q '"event":"server.start"' "$SRV_EVENTS" &&
 echo "-- telemetry ok: requests $SCRAPED_REQS -> $FINAL_REQS," \
      "$(wc -l < "$SRV_EVENTS") event-log lines"
 rm -rf "$SRV_SPOOL" "$SRV_SOCK" "$SRV_LOG"
+
+echo
+echo "== server smoke, refused sessions: riscload must fail closed =="
+# A daemon capped at 4 sessions refuses most of the 16 riscload asks
+# for, so the load runs no ops.  riscload must exit non-zero, and its
+# report must not claim the p99 cross-check held: a gate with too few
+# samples is undecided, never a pass.
+NEG_SOCK="$BUILD/rs_refused.sock"
+NEG_SPOOL="$BUILD/rs_refused.spool"
+NEG_LOG="$BUILD/rs_refused.log"
+NEG_OUT="$BUILD/bench/out/BENCH_server_refused.json"
+rm -rf "$NEG_SPOOL" "$NEG_SOCK" "$NEG_LOG" "$NEG_OUT"
+"$BUILD/examples/riscserved" --unix "$NEG_SOCK" --spool "$NEG_SPOOL" \
+    --max-sessions 4 > "$NEG_LOG" 2>&1 &
+NEG_PID=$!
+wait_ready "$NEG_LOG"
+NEG_STATUS=0
+"$BUILD/bench/riscload" --unix "$NEG_SOCK" --connections 2 \
+    --sessions 8 --ops 50 --out "$NEG_OUT" || NEG_STATUS=$?
+kill -TERM "$NEG_PID"
+wait "$NEG_PID" || {
+    echo "riscserved exited non-zero on SIGTERM" >&2
+    cat "$NEG_LOG" >&2
+    exit 1
+}
+[ "$NEG_STATUS" -ne 0 ] || {
+    echo "riscload exited 0 although the daemon refused its sessions" >&2
+    exit 1
+}
+test -s "$NEG_OUT" || {
+    echo "missing artifact: $NEG_OUT" >&2
+    exit 1
+}
+if grep -Eq '"p99Within2x": *true' "$NEG_OUT"; then
+    echo "$NEG_OUT claims p99Within2x: true for a load with no ops" >&2
+    exit 1
+fi
+echo "-- riscload failed closed (exit $NEG_STATUS, no p99Within2x: true)"
+rm -rf "$NEG_SPOOL" "$NEG_SOCK" "$NEG_LOG"
 
 if [ "$MODE" = default ]; then
     echo
