@@ -33,8 +33,8 @@
  * records.  The gate fails closed: a command with too few samples on
  * either side is `undecided`, `p99Within2x` is true only when every
  * command was gated and passed, and an undecided check fails the run
- * like a failed one.  It also micro-benchmarks obs::Histogram::record so the
- * registry's hot-path cost is pinned in the same artifact.
+ * like a failed one.  It also micro-benchmarks obs::Histogram::record
+ * so the registry's hot-path cost is pinned in the same artifact.
  *
  * Exit status: 0 on success, 1 when any command failed, the p99 limit
  * was exceeded, or a telemetry gate failed or was undecided, 2 on
@@ -298,12 +298,12 @@ scrapeQuantiles(const JsonValue &telemetry, const std::string &cmd)
  * even one per quota-slice (~100k instructions) is noise.
  */
 constexpr std::uint64_t kOverheadRecords = 1'000'000;
+constexpr double kOverheadLimitNs = 250.0; // generous for sanitizers
 
 /** What the p99 cross-check needs to decide: samples on each side, and
  *  a client p99 large enough that 2x is not lost in timer noise. */
 constexpr std::uint64_t kCrossCheckSamples = 20;
 constexpr double kCrossCheckMinClientP99Ms = 0.01;
-constexpr double kOverheadLimitNs = 250.0; // generous for sanitizers
 
 double
 measureRecordNs()

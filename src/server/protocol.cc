@@ -344,7 +344,15 @@ std::string
 Service::Call::info()
 {
     const SessionCounts c = svc.sessions_.counts();
-    const ServiceConfig &config = svc.config_;
+    std::size_t ready = 0;
+    std::size_t inFlight = 0;
+    std::size_t pending = 0;
+    {
+        std::lock_guard sched(svc.schedMutex_);
+        ready = svc.ready_.size();
+        inFlight = svc.inFlight_;
+        pending = svc.pendingRuns_;
+    }
     JsonWriter w;
     w.beginObject()
         .field("ok", true)
@@ -354,9 +362,9 @@ Service::Call::info()
         .field("workers", std::uint64_t(svc.engine_.workers()))
         .field("queueDepth", std::uint64_t(svc.engine_.queueDepth()))
         .field("queueCapacity", std::uint64_t(svc.engine_.capacity()))
-        .field("quota", config.quota)
-        .field("ttlMs", std::int64_t(config.ttlMs))
-        .field("maxSessions", std::uint64_t(config.maxSessions));
+        .field("quota", svc.config_.quota)
+        .field("ttlMs", std::int64_t(svc.config_.ttlMs))
+        .field("maxSessions", std::uint64_t(svc.config_.maxSessions));
     w.key("sessions")
         .beginObject()
         .field("alive", std::uint64_t(c.sessions))
@@ -374,15 +382,12 @@ Service::Call::info()
         .field("residentBytes", c.residentBytes)
         .field("sharedBytes", c.sharedBytes)
         .endObject();
-    {
-        std::lock_guard sched(svc.schedMutex_);
-        w.key("runs")
-            .beginObject()
-            .field("pending", std::uint64_t(svc.pendingRuns_))
-            .field("ready", std::uint64_t(svc.ready_.size()))
-            .field("inFlight", std::uint64_t(svc.inFlight_))
-            .endObject();
-    }
+    w.key("runs")
+        .beginObject()
+        .field("pending", std::uint64_t(pending))
+        .field("ready", std::uint64_t(ready))
+        .field("inFlight", std::uint64_t(inFlight))
+        .endObject();
     // Lifetime command totals (the registry's server.* counters) and
     // build identity, so one `info` answers "what is this daemon and
     // how much has it served".
@@ -435,11 +440,10 @@ Service::Call::create()
         target::canonicalBackend(req.stringOr("backend", "risc")));
     cfg.fast = req.boolOr("fast", true);
 
-    const std::uint64_t maxMem = svc.config_.maxMemBytes;
     const std::uint64_t mem = req.u64Or("mem", svc.config_.defaultMemBytes);
-    if (mem < kMinMemBytes || mem > maxMem)
-        fatal(cat("create: mem must be ", kMinMemBytes, "..", maxMem,
-                  " bytes, got ", mem));
+    if (mem < kMinMemBytes || mem > svc.config_.maxMemBytes)
+        fatal(cat("create: mem must be ", kMinMemBytes, "..",
+                  svc.config_.maxMemBytes, " bytes, got ", mem));
     if (mem % Memory::pageBytes != 0)
         fatal(cat("create: mem must be a multiple of ", Memory::pageBytes,
                   " bytes, got ", mem));
@@ -560,10 +564,10 @@ Service::Call::run()
         std::lock_guard sched(svc.schedMutex_);
         if (svc.stopping_.load(std::memory_order_relaxed))
             fatal("server shutting down");
-        const std::size_t limit = svc.config_.maxPendingRuns;
-        if (limit != 0 && svc.pendingRuns_ >= limit)
+        if (svc.config_.maxPendingRuns != 0 &&
+            svc.pendingRuns_ >= svc.config_.maxPendingRuns)
             fatal(cat("server overloaded: ", svc.pendingRuns_,
-                      " runs pending (limit ", limit,
+                      " runs pending (limit ", svc.config_.maxPendingRuns,
                       "); retry after a run completes"));
         ++svc.pendingRuns_;
         // Its turns wait on the session mutex, held until the run
@@ -686,7 +690,7 @@ Service::Call::fork()
         target = target::makeTarget(cfg.backend, cfg.options);
         target->restore(*stored->snap);
     } else {
-        // The table's `none`: the source session is only needed here.
+        // fork's row needs no session: a session is one of two sources.
         const auto src = needSession(svc.sessions_, req);
         std::lock_guard lock(src->mutex);
         require(*src, Need::idle);
