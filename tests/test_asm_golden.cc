@@ -11,6 +11,11 @@
  * directive, '.' expressions, stacked labels and a label at end of
  * file.
  *
+ * A second pin covers the lowerings riscdiff runs: the compileRisc and
+ * compileVax text and the assembled images of every generated program
+ * in seeds 1..300 that the reference interpreter accepts, folded into
+ * one digest.
+ *
  * On an intended output change, the failure message prints the full
  * table of current digests to paste below.
  */
@@ -28,6 +33,9 @@
 #include "asm/assembler.hh"
 #include "helpers.hh"
 #include "lang/compile.hh"
+#include "lang/diff.hh"
+#include "lang/gen.hh"
+#include "lang/interp.hh"
 #include "lang/parser.hh"
 #include "vax/vassembler.hh"
 #include "workloads/workloads.hh"
@@ -258,6 +266,38 @@ TEST(AsmGolden, EveryProgramAssemblesToItsPinnedImage)
                   << std::dec << "ull},\n";
         ADD_FAILURE() << "current digests:\n" << table.str();
     }
+}
+
+TEST(AsmGolden, GeneratedLoweringsMatchPinnedDigest)
+{
+    // The programs riscdiff judges: those the interpreter accepts
+    // within diffProgram's default step fuse.
+    lang::InterpLimits limits;
+    limits.maxSteps = lang::DiffLimits{}.maxInterpSteps;
+    std::vector<std::uint8_t> bytes;
+    auto put = [&](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    unsigned accepted = 0;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        const lang::Program program = lang::generateProgram(seed);
+        if (!lang::interpret(program, limits).ok)
+            continue;
+        ++accepted;
+        const std::string risc = lang::compileRisc(program).source;
+        const std::string vax = lang::compileVax(program).source;
+        put(seed);
+        put(risc.size());
+        bytes.insert(bytes.end(), risc.begin(), risc.end());
+        put(vax.size());
+        bytes.insert(bytes.end(), vax.begin(), vax.end());
+        put(digest(assembleRisc(risc)));
+        put(digest(assembleVax(vax)));
+    }
+    EXPECT_EQ(accepted, 300u);
+    EXPECT_EQ(test::fnv1a(bytes), 0xe39b9e34306c5cd0ull)
+        << "current digest: 0x" << std::hex << test::fnv1a(bytes);
 }
 
 } // namespace
