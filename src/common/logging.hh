@@ -13,9 +13,12 @@
 #ifndef RISC1_COMMON_LOGGING_HH
 #define RISC1_COMMON_LOGGING_HH
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace risc1 {
 
@@ -48,14 +51,68 @@ void inform(const std::string &msg);
 /** Enable/disable warn()/inform() output (tests silence it). */
 void setVerbose(bool verbose);
 
-/** printf-free formatting helper: csprintf("x=", x, " y=", y). */
+namespace detail {
+
+/**
+ * An argument cat() appends without a stream: a string-like, a char, a
+ * bool, or an integer that a stream prints as a number (not signed
+ * char or unsigned char, which it prints as characters).
+ */
+template <typename T>
+concept CatDirect =
+    std::is_same_v<T, char> || std::is_same_v<T, bool> ||
+    (std::is_integral_v<T> && !std::is_same_v<T, signed char> &&
+     !std::is_same_v<T, unsigned char> && !std::is_same_v<T, wchar_t> &&
+     !std::is_same_v<T, char8_t> && !std::is_same_v<T, char16_t> &&
+     !std::is_same_v<T, char32_t>) ||
+    std::is_convertible_v<const T &, std::string_view>;
+
+/** Append @p v to @p out as an ostream would print it. */
+template <typename T>
+void
+catAppend(std::string &out, const T &v)
+{
+    if constexpr (std::is_same_v<T, char>) {
+        out.push_back(v);
+    } else if constexpr (std::is_same_v<T, bool>) {
+        out.push_back(v ? '1' : '0');
+    } else if constexpr (std::is_integral_v<T>) {
+        char buf[24];
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    } else {
+        out.append(std::string_view(v));
+    }
+}
+
+} // namespace detail
+
+/**
+ * Append the text an std::ostream prints for @p args, in turn, to
+ * @p out.  When every argument is a detail::CatDirect kind it is
+ * appended in place; otherwise (manipulators, floating point, enums,
+ * character-typed integers) the arguments go through an ostringstream.
+ */
+template <typename... Args>
+void
+catTo(std::string &out, const Args &...args)
+{
+    if constexpr ((detail::CatDirect<Args> && ...)) {
+        (detail::catAppend(out, args), ...);
+    } else {
+        std::ostringstream os;
+        (os << ... << args);
+        out += os.str();
+    }
+}
+
+/** printf-free formatting helper: cat("x=", x, " y=", y). */
 template <typename... Args>
 std::string
-cat(Args &&...args)
+cat(const Args &...args)
 {
-    std::ostringstream os;
-    (os << ... << args);
-    return os.str();
+    std::string out;
+    catTo(out, args...);
+    return out;
 }
 
 } // namespace risc1
