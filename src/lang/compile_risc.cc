@@ -24,10 +24,10 @@
  */
 
 #include <algorithm>
-#include <sstream>
 #include <unordered_map>
 
 #include "common/logging.hh"
+#include "lang/asm_text.hh"
 #include "lang/compile.hh"
 
 namespace risc1::lang {
@@ -40,62 +40,32 @@ constexpr int kLocalBase = 16;   ///< named locals, then expr stack
 constexpr int kLocalTop = 25;    ///< last usable LOCAL register
 constexpr int kParamBase = 26;   ///< incoming params r26..r29
 
-class RiscGen
+class RiscGen : AsmText
 {
   public:
     explicit RiscGen(const Program &program)
-        : prog_(program), layout_(layoutProgram(program))
+        : AsmText("; generated by lang::compileRisc — register-window "
+                  "calling convention"),
+          prog_(program), layout_(layoutProgram(program))
     {
     }
 
     CompiledProgram
     run()
     {
-        os_ << "; generated by lang::compileRisc — register-window "
-               "calling convention\n";
-        emit("start:", cat("ldi   r", kGlobalBase, ", ", kDataLabel));
+        emit("start:", text("ldi   r", kGlobalBase, ", ", kDataLabel));
         emit("", "call  f_main");
         emit("", "nop");
-        emit("", cat("mov   r1, r", kArgBase),
+        emit("", text("mov   r1, r", kArgBase),
              "checksum = main's return value");
         emit("", "halt");
         for (const auto &f : prog_.functions)
             emitFunction(f);
-        emitData();
-        return {os_.str(), layout_};
+        emitData(prog_, layout_);
+        return {take(), layout_};
     }
 
   private:
-    // -- assembly text helpers ------------------------------------------
-
-    void
-    emit(const std::string &label, const std::string &text,
-         const std::string &comment = "")
-    {
-        os_ << label;
-        if (!text.empty()) {
-            if (label.size() < 8)
-                os_ << std::string(8 - label.size(), ' ');
-            os_ << text;
-        }
-        if (!comment.empty())
-            os_ << "\t; " << comment;
-        os_ << "\n";
-    }
-
-    /** A label on its own line (attaches to the next statement). */
-    void
-    emitLabel(const std::string &label, const std::string &comment = "")
-    {
-        emit(label + ":", "", comment);
-    }
-
-    std::string
-    newLabel()
-    {
-        return cat("Lx", labelN_++);
-    }
-
     // -- per-function state ---------------------------------------------
 
     /** Register of the expression-stack slot at @p depth. */
@@ -150,10 +120,10 @@ class RiscGen
         // All locals are zero at entry: the window registers carry
         // whatever the previous occupant left, so clear explicitly.
         for (int r = kLocalBase; r < nextLocal; ++r)
-            emit("", cat("clr   r", r));
+            emit("", text("clr   r", r));
         emitBody(f.body);
         // Fall-through return (implicit `return 0`).
-        emit("", cat("clr   r", kParamBase));
+        emit("", text("clr   r", kParamBase));
         emit("", "ret");
         emit("", "nop");
     }
@@ -174,11 +144,11 @@ class RiscGen
             emitExpr(*s.expr);
             const int v = pop();
             if (const int r = regOf(s.name); r >= 0) {
-                emit("", cat("mov   r", r, ", r", v));
+                emit("", text("mov   r", r, ", r", v));
             } else {
-                emit("", cat("stl   r", v, ", ",
-                             4 * layout_.wordOf(s.name), "(r",
-                             kGlobalBase, ")"),
+                emit("", text("stl   r", v, ", ",
+                              4 * layout_.wordOf(s.name), "(r",
+                              kGlobalBase, ")"),
                      s.name);
             }
             return;
@@ -189,21 +159,21 @@ class RiscGen
             const int v = pop();
             const int idx = pop();
             const std::uint32_t size = arraySize(s.name);
-            emit("", cat("and   r", idx, ", r", idx, ", ", size - 1),
+            emit("", text("and   r", idx, ", r", idx, ", ", size - 1),
                  cat(s.name, "[i & ", size - 1, "]"));
-            emit("", cat("sll   r", idx, ", r", idx, ", 2"));
-            emit("", cat("add   r", idx, ", r", idx, ", r",
-                         kGlobalBase));
-            emit("", cat("stl   r", v, ", ", 4 * layout_.wordOf(s.name),
-                         "(r", idx, ")"));
+            emit("", text("sll   r", idx, ", r", idx, ", 2"));
+            emit("", text("add   r", idx, ", r", idx, ", r",
+                          kGlobalBase));
+            emit("", text("stl   r", v, ", ", 4 * layout_.wordOf(s.name),
+                          "(r", idx, ")"));
             return;
           }
           case StmtKind::If: {
             emitExpr(*s.expr);
             const int c = pop();
             const std::string elseL = newLabel();
-            emit("", cat("cmp   r", c, ", 0"));
-            emit("", cat("beq   ", elseL));
+            emit("", text("cmp   r", c, ", 0"));
+            emit("", text("beq   ", elseL));
             emit("", "nop");
             emitBody(s.body);
             if (s.elseBody.empty()) {
@@ -211,7 +181,7 @@ class RiscGen
                 return;
             }
             const std::string endL = newLabel();
-            emit("", cat("bra   ", endL));
+            emit("", text("bra   ", endL));
             emit("", "nop");
             emitLabel(elseL);
             emitBody(s.elseBody);
@@ -224,11 +194,11 @@ class RiscGen
             emitLabel(topL);
             emitExpr(*s.expr);
             const int c = pop();
-            emit("", cat("cmp   r", c, ", 0"));
-            emit("", cat("beq   ", endL));
+            emit("", text("cmp   r", c, ", 0"));
+            emit("", text("beq   ", endL));
             emit("", "nop");
             emitBody(s.body);
-            emit("", cat("bra   ", topL));
+            emit("", text("bra   ", topL));
             emit("", "nop");
             emitLabel(endL);
             return;
@@ -236,7 +206,7 @@ class RiscGen
           case StmtKind::Return: {
             emitExpr(*s.expr);
             const int v = pop();
-            emit("", cat("mov   r", kParamBase, ", r", v),
+            emit("", text("mov   r", kParamBase, ", r", v),
                  "result rides the window overlap");
             emit("", "ret");
             emit("", "nop");
@@ -249,21 +219,21 @@ class RiscGen
             const int addr = push();
             const std::string skipL = newLabel();
             const std::uint32_t cntOff = 4 * layout_.outCountWord;
-            emit("", cat("ldl   r", cnt, ", ", cntOff, "(r",
-                         kGlobalBase, ")"),
+            emit("", text("ldl   r", cnt, ", ", cntOff, "(r",
+                          kGlobalBase, ")"),
                  "out() count");
-            emit("", cat("cmp   r", cnt, ", ", kOutCap));
-            emit("", cat("bge   ", skipL),
+            emit("", text("cmp   r", cnt, ", ", kOutCap));
+            emit("", text("bge   ", skipL),
                  "buffer full: count only");
             emit("", "nop");
-            emit("", cat("sll   r", addr, ", r", cnt, ", 2"));
-            emit("", cat("add   r", addr, ", r", addr, ", r",
-                         kGlobalBase));
-            emit("", cat("stl   r", v, ", ", 4 * layout_.outBufWord,
-                         "(r", addr, ")"));
-            emit(skipL + ":", cat("add   r", cnt, ", r", cnt, ", 1"));
-            emit("", cat("stl   r", cnt, ", ", cntOff, "(r",
-                         kGlobalBase, ")"));
+            emit("", text("sll   r", addr, ", r", cnt, ", 2"));
+            emit("", text("add   r", addr, ", r", addr, ", r",
+                          kGlobalBase));
+            emit("", text("stl   r", v, ", ", 4 * layout_.outBufWord,
+                          "(r", addr, ")"));
+            emit(skipL + ":", text("add   r", cnt, ", r", cnt, ", 1"));
+            emit("", text("stl   r", cnt, ", ", cntOff, "(r",
+                          kGlobalBase, ")"));
             pop();  // addr
             pop();  // cnt
             pop();  // the out() value
@@ -293,20 +263,20 @@ class RiscGen
         switch (e.kind) {
           case ExprKind::IntLit: {
             const int t = push();
-            emit("", cat("ldi   r", t, ", ",
-                         static_cast<std::int32_t>(e.value)));
+            emit("", text("ldi   r", t, ", ",
+                          static_cast<std::int32_t>(e.value)));
             return;
           }
           case ExprKind::Var:
           case ExprKind::Global: {
             if (const int r = regOf(e.name); r >= 0) {
                 const int t = push();
-                emit("", cat("mov   r", t, ", r", r), e.name);
+                emit("", text("mov   r", t, ", r", r), e.name);
             } else {
                 const int t = push();
-                emit("", cat("ldl   r", t, ", ",
-                             4 * layout_.wordOf(e.name), "(r",
-                             kGlobalBase, ")"),
+                emit("", text("ldl   r", t, ", ",
+                              4 * layout_.wordOf(e.name), "(r",
+                              kGlobalBase, ")"),
                      e.name);
             }
             return;
@@ -315,12 +285,12 @@ class RiscGen
             emitExpr(*e.lhs);
             const int t = slot(depth_ - 1);
             const std::uint32_t size = arraySize(e.name);
-            emit("", cat("and   r", t, ", r", t, ", ", size - 1),
+            emit("", text("and   r", t, ", r", t, ", ", size - 1),
                  cat(e.name, "[i & ", size - 1, "]"));
-            emit("", cat("sll   r", t, ", r", t, ", 2"));
-            emit("", cat("add   r", t, ", r", t, ", r", kGlobalBase));
-            emit("", cat("ldl   r", t, ", ", 4 * layout_.wordOf(e.name),
-                         "(r", t, ")"));
+            emit("", text("sll   r", t, ", r", t, ", 2"));
+            emit("", text("add   r", t, ", r", t, ", r", kGlobalBase));
+            emit("", text("ldl   r", t, ", ", 4 * layout_.wordOf(e.name),
+                          "(r", t, ")"));
             return;
           }
           case ExprKind::Unary:
@@ -343,21 +313,21 @@ class RiscGen
         const int t = slot(depth_ - 1);
         switch (e.unop) {
           case UnOp::Neg:
-            emit("", cat("neg   r", t, ", r", t));
+            emit("", text("neg   r", t, ", r", t));
             return;
           case UnOp::Not:
-            emit("", cat("not   r", t, ", r", t));
+            emit("", text("not   r", t, ", r", t));
             return;
           case UnOp::LNot: {
             const std::string oneL = newLabel();
             const std::string doneL = newLabel();
-            emit("", cat("cmp   r", t, ", 0"));
-            emit("", cat("beq   ", oneL));
+            emit("", text("cmp   r", t, ", 0"));
+            emit("", text("beq   ", oneL));
             emit("", "nop");
-            emit("", cat("ldi   r", t, ", 0"));
-            emit("", cat("bra   ", doneL));
+            emit("", text("ldi   r", t, ", 0"));
+            emit("", text("bra   ", doneL));
             emit("", "nop");
-            emit(oneL + ":", cat("ldi   r", t, ", 1"));
+            emit(oneL + ":", text("ldi   r", t, ", 1"));
             emitLabel(doneL);
             return;
           }
@@ -379,8 +349,8 @@ class RiscGen
             emitExpr(*e.lhs);
             const int t = slot(depth_ - 1);
             const std::uint32_t k = e.rhs->value & 31;
-            emit("", cat(e.binop == BinOp::Shl ? "sll" : "srl",
-                         "   r", t, ", r", t, ", ", k));
+            emit("", text(e.binop == BinOp::Shl ? "sll" : "srl",
+                          "   r", t, ", r", t, ", ", k));
             return;
         }
         emitExpr(*e.lhs);
@@ -404,19 +374,19 @@ class RiscGen
           default: panic("bad binary operator");
         }
         if (alu) {
-            emit("", cat(alu, "   r", lhs, ", r", lhs, ", r", rhs));
+            emit("", text(alu, "   r", lhs, ", r", lhs, ", r", rhs));
             return;
         }
         // Comparison: materialize 0/1 through a signed pseudo-branch.
         const std::string trueL = newLabel();
         const std::string doneL = newLabel();
-        emit("", cat("cmp   r", lhs, ", r", rhs));
-        emit("", cat(cond, "   ", trueL));
+        emit("", text("cmp   r", lhs, ", r", rhs));
+        emit("", text(cond, "   ", trueL));
         emit("", "nop");
-        emit("", cat("ldi   r", lhs, ", 0"));
-        emit("", cat("bra   ", doneL));
+        emit("", text("ldi   r", lhs, ", 0"));
+        emit("", text("bra   ", doneL));
         emit("", "nop");
-        emit(trueL + ":", cat("ldi   r", lhs, ", 1"));
+        emit(trueL + ":", text("ldi   r", lhs, ", 1"));
         emitLabel(doneL);
     }
 
@@ -428,19 +398,19 @@ class RiscGen
         const std::string doneL = newLabel();
         emitExpr(*e.lhs);
         int t = pop();
-        emit("", cat("cmp   r", t, ", 0"));
-        emit("", cat(isAnd ? "beq" : "bne", "   ", shortL),
+        emit("", text("cmp   r", t, ", 0"));
+        emit("", text(isAnd ? "beq" : "bne", "   ", shortL),
              isAnd ? "lhs false: skip rhs" : "lhs true: skip rhs");
         emit("", "nop");
         emitExpr(*e.rhs);
         t = pop();
-        emit("", cat("cmp   r", t, ", 0"));
-        emit("", cat(isAnd ? "beq" : "bne", "   ", shortL));
+        emit("", text("cmp   r", t, ", 0"));
+        emit("", text(isAnd ? "beq" : "bne", "   ", shortL));
         emit("", "nop");
-        emit("", cat("ldi   r", t, ", ", isAnd ? 1 : 0));
-        emit("", cat("bra   ", doneL));
+        emit("", text("ldi   r", t, ", ", isAnd ? 1 : 0));
+        emit("", text("bra   ", doneL));
         emit("", "nop");
-        emit(shortL + ":", cat("ldi   r", t, ", ", isAnd ? 0 : 1));
+        emit(shortL + ":", text("ldi   r", t, ", ", isAnd ? 0 : 1));
         emitLabel(doneL);
         push();  // result occupies the slot both operands used
     }
@@ -457,45 +427,18 @@ class RiscGen
             emitExpr(*a);
         // Stage args into LOW; the callee sees them in HIGH.
         for (std::size_t i = 0; i < e.args.size(); ++i)
-            emit("", cat("mov   r", kArgBase + i, ", r",
-                         slot(argBase + static_cast<int>(i))));
-        emit("", cat("call  f_", e.name));
+            emit("", text("mov   r", kArgBase + i, ", r",
+                          slot(argBase + static_cast<int>(i))));
+        emit("", text("call  f_", e.name));
         emit("", "nop");
         depth_ = argBase;
         const int t = push();
-        emit("", cat("mov   r", t, ", r", kArgBase),
+        emit("", text("mov   r", t, ", r", kArgBase),
              "result from the overlap");
-    }
-
-    void
-    emitData()
-    {
-        emit("", ".align 4");
-        bool first = true;
-        for (const auto &entry : layout_.entries) {
-            const std::string label = first ? cat(kDataLabel, ":") : "";
-            first = false;
-            if (entry.isArray) {
-                emit(label, cat(".space ", 4 * entry.words),
-                     cat(entry.name, "[", entry.words, "]"));
-            } else {
-                const int g = prog_.findGlobal(entry.name);
-                const std::uint32_t init =
-                    prog_.globals[static_cast<std::size_t>(g)].init;
-                emit(label, cat(".word ",
-                                static_cast<std::int32_t>(init)),
-                     entry.name);
-            }
-        }
-        emit(first ? cat(kDataLabel, ":") : "", ".word 0",
-             "out() count");
-        emit("", cat(".space ", 4 * kOutCap), "out() buffer");
     }
 
     const Program &prog_;
     DataLayout layout_;
-    std::ostringstream os_;
-    int labelN_ = 0;
     std::string fnName_;
     std::unordered_map<std::string, int> regOf_;
     int stackBase_ = kLocalBase;

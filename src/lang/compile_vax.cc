@@ -27,10 +27,11 @@
  * a `brw`) and never limits how large a lowered body can grow.
  */
 
-#include <sstream>
+#include <charconv>
 #include <unordered_map>
 
 #include "common/logging.hh"
+#include "lang/asm_text.hh"
 #include "lang/compile.hh"
 
 namespace risc1::lang {
@@ -39,61 +40,33 @@ namespace {
 
 constexpr int kVarBase = 2;  ///< params then locals in r2..r9
 
-class VaxGen
+class VaxGen : AsmText
 {
   public:
     explicit VaxGen(const Program &program)
-        : prog_(program), layout_(layoutProgram(program))
+        : AsmText("; generated by lang::compileVax — CALLS memory-frame "
+                  "calling convention"),
+          prog_(program), layout_(layoutProgram(program))
     {
     }
 
     CompiledProgram
     run()
     {
-        os_ << "; generated by lang::compileVax — CALLS memory-frame "
-               "calling convention\n";
         emit("start:", "calls #0, f_main");
         emit("", "halt", "checksum = r0 = main's return value");
         for (const auto &f : prog_.functions)
             emitFunction(f);
-        emitData();
-        return {os_.str(), layout_};
+        emitData(prog_, layout_);
+        return {take(), layout_};
     }
 
   private:
-    void
-    emit(const std::string &label, const std::string &text,
-         const std::string &comment = "")
-    {
-        os_ << label;
-        if (!text.empty()) {
-            if (label.size() < 8)
-                os_ << std::string(8 - label.size(), ' ');
-            os_ << text;
-        }
-        if (!comment.empty())
-            os_ << "\t; " << comment;
-        os_ << "\n";
-    }
-
-    void
-    emitLabel(const std::string &label, const std::string &comment = "")
-    {
-        emit(label + ":", "", comment);
-    }
-
-    std::string
-    newLabel()
-    {
-        return cat("Lx", labelN_++);
-    }
-
     static std::string
     hex32(std::uint32_t v)
     {
-        std::ostringstream h;
-        h << "0x" << std::hex << v;
-        return h.str();
+        char buf[10] = {'0', 'x'};
+        return {buf, std::to_chars(buf + 2, buf + sizeof buf, v, 16).ptr};
     }
 
     /** Word offset inside `gvars` rendered as an operand expression. */
@@ -130,11 +103,11 @@ class VaxGen
                       " local(s)"));
         emit("", ".mask 0x03fc", "save r2-r9");
         for (std::size_t i = 0; i < n; ++i)
-            emit("", cat("movl  ", 4 * (n - i), "(ap), r",
-                         kVarBase + i),
+            emit("", text("movl  ", 4 * (n - i), "(ap), r",
+                          kVarBase + i),
                  f.params[i]);
         for (int r = kVarBase + static_cast<int>(n); r < nextLocal; ++r)
-            emit("", cat("clrl  r", r), "local zero at entry");
+            emit("", text("clrl  r", r), "local zero at entry");
         emitBody(f.body);
         // Fall-through return (implicit `return 0`).
         emit("", "clrl  r0");
@@ -156,10 +129,10 @@ class VaxGen
           case StmtKind::Assign:
             emitExpr(*s.expr);
             if (const int r = regOf(s.name); r >= 0)
-                emit("", cat("movl  (sp)+, r", r), s.name);
+                emit("", text("movl  (sp)+, r", r), s.name);
             else
-                emit("", cat("movl  (sp)+, ",
-                             cell(layout_.wordOf(s.name))),
+                emit("", text("movl  (sp)+, ",
+                              cell(layout_.wordOf(s.name))),
                      s.name);
             return;
           case StmtKind::Store: {
@@ -168,11 +141,11 @@ class VaxGen
             const std::uint32_t size = arraySize(s.name);
             emit("", "movl  (sp)+, r0", "value");
             emit("", "movl  (sp)+, r1", "index");
-            emit("", cat("bicl2 #", hex32(~(size - 1)), ", r1"),
+            emit("", text("bicl2 #", hex32(~(size - 1)), ", r1"),
                  cat(s.name, "[i & ", size - 1, "]"));
             emit("", "ashl  #2, r1, r1");
-            emit("", cat("addl2 #", cell(layout_.wordOf(s.name)),
-                         ", r1"));
+            emit("", text("addl2 #", cell(layout_.wordOf(s.name)),
+                          ", r1"));
             emit("", "movl  r0, (r1)");
             return;
           }
@@ -182,8 +155,8 @@ class VaxGen
             const std::string elseL = newLabel();
             emit("", "movl  (sp)+, r0");
             emit("", "tstl  r0");
-            emit("", cat("bneq  ", thenL));
-            emit("", cat("brw   ", elseL),
+            emit("", text("bneq  ", thenL));
+            emit("", text("brw   ", elseL),
                  "inverted branch: beql is byte-range only");
             emitLabel(thenL);
             emitBody(s.body);
@@ -192,7 +165,7 @@ class VaxGen
                 return;
             }
             const std::string endL = newLabel();
-            emit("", cat("brw   ", endL));
+            emit("", text("brw   ", endL));
             emitLabel(elseL);
             emitBody(s.elseBody);
             emitLabel(endL);
@@ -206,11 +179,11 @@ class VaxGen
             emitExpr(*s.expr);
             emit("", "movl  (sp)+, r0");
             emit("", "tstl  r0");
-            emit("", cat("bneq  ", bodyL));
-            emit("", cat("brw   ", endL));
+            emit("", text("bneq  ", bodyL));
+            emit("", text("brw   ", endL));
             emitLabel(bodyL);
             emitBody(s.body);
-            emit("", cat("brw   ", topL));
+            emit("", text("brw   ", topL));
             emitLabel(endL);
             return;
           }
@@ -223,17 +196,17 @@ class VaxGen
             emitExpr(*s.expr);
             const std::string skipL = newLabel();
             emit("", "movl  (sp)+, r0", "out() value");
-            emit("", cat("movl  ", cell(layout_.outCountWord),
-                         ", r1"),
+            emit("", text("movl  ", cell(layout_.outCountWord),
+                          ", r1"),
                  "out() count");
-            emit("", cat("cmpl  r1, #", kOutCap));
-            emit("", cat("bgeq  ", skipL), "buffer full: count only");
+            emit("", text("cmpl  r1, #", kOutCap));
+            emit("", text("bgeq  ", skipL), "buffer full: count only");
             emit("", "ashl  #2, r1, r10");
-            emit("", cat("addl2 #", cell(layout_.outBufWord),
-                         ", r10"));
+            emit("", text("addl2 #", cell(layout_.outBufWord),
+                          ", r10"));
             emit("", "movl  r0, (r10)");
             emit(skipL + ":",
-                 cat("incl  ", cell(layout_.outCountWord)),
+                 text("incl  ", cell(layout_.outCountWord)),
                  "CISC-idiomatic memory increment");
             return;
           }
@@ -260,25 +233,25 @@ class VaxGen
     {
         switch (e.kind) {
           case ExprKind::IntLit:
-            emit("", cat("pushl #", static_cast<std::int32_t>(e.value)));
+            emit("", text("pushl #", static_cast<std::int32_t>(e.value)));
             return;
           case ExprKind::Var:
           case ExprKind::Global:
             if (const int r = regOf(e.name); r >= 0)
-                emit("", cat("pushl r", r), e.name);
+                emit("", text("pushl r", r), e.name);
             else
-                emit("", cat("pushl ", cell(layout_.wordOf(e.name))),
+                emit("", text("pushl ", cell(layout_.wordOf(e.name))),
                      e.name);
             return;
           case ExprKind::Index: {
             emitExpr(*e.lhs);
             const std::uint32_t size = arraySize(e.name);
             emit("", "movl  (sp)+, r1");
-            emit("", cat("bicl2 #", hex32(~(size - 1)), ", r1"),
+            emit("", text("bicl2 #", hex32(~(size - 1)), ", r1"),
                  cat(e.name, "[i & ", size - 1, "]"));
             emit("", "ashl  #2, r1, r1");
-            emit("", cat("addl2 #", cell(layout_.wordOf(e.name)),
-                         ", r1"));
+            emit("", text("addl2 #", cell(layout_.wordOf(e.name)),
+                          ", r1"));
             emit("", "pushl (r1)");
             return;
           }
@@ -311,9 +284,9 @@ class VaxGen
             const std::string doneL = newLabel();
             emit("", "movl  (sp)+, r0");
             emit("", "tstl  r0");
-            emit("", cat("beql  ", oneL));
+            emit("", text("beql  ", oneL));
             emit("", "pushl #0");
-            emit("", cat("brb   ", doneL));
+            emit("", text("brb   ", doneL));
             emit(oneL + ":", "pushl #1");
             emitLabel(doneL);
             return;
@@ -336,13 +309,13 @@ class VaxGen
                 return;
             emit("", "movl  (sp)+, r0");
             if (e.binop == BinOp::Shl) {
-                emit("", cat("ashl  #", k, ", r0, r0"));
+                emit("", text("ashl  #", k, ", r0, r0"));
             } else {
                 // ashl is arithmetic: clear the sign-extended bits
                 // to make the shift logical, matching the RISC srl.
-                emit("", cat("ashl  #-", k, ", r0, r0"));
-                emit("", cat("bicl2 #", hex32(~(0xffffffffu >> k)),
-                             ", r0"),
+                emit("", text("ashl  #-", k, ", r0, r0"));
+                emit("", text("bicl2 #", hex32(~(0xffffffffu >> k)),
+                              ", r0"),
                      "logical shift");
             }
             emit("", "pushl r0");
@@ -391,9 +364,9 @@ class VaxGen
         emit("", "movl  (sp)+, r1", "rhs");
         emit("", "movl  (sp)+, r0", "lhs");
         emit("", "cmpl  r0, r1");
-        emit("", cat(cond, "  ", trueL));
+        emit("", text(cond, "  ", trueL));
         emit("", "pushl #0");
-        emit("", cat("brb   ", doneL));
+        emit("", text("brb   ", doneL));
         emit(trueL + ":", "pushl #1");
         emitLabel(doneL);
     }
@@ -409,18 +382,18 @@ class VaxGen
         emitExpr(*e.lhs);
         emit("", "movl  (sp)+, r0");
         emit("", "tstl  r0");
-        emit("", cat(isAnd ? "bneq" : "beql", "  ", rhsL));
-        emit("", cat("brw   ", shortL),
+        emit("", text(isAnd ? "bneq" : "beql", "  ", rhsL));
+        emit("", text("brw   ", shortL),
              isAnd ? "lhs false: skip rhs" : "lhs true: skip rhs");
         emitLabel(rhsL);
         emitExpr(*e.rhs);
         emit("", "movl  (sp)+, r0");
         emit("", "tstl  r0");
-        emit("", cat(isAnd ? "bneq" : "beql", "  ", longL));
+        emit("", text(isAnd ? "bneq" : "beql", "  ", longL));
         emitLabel(shortL);
-        emit("", cat("pushl #", isAnd ? 0 : 1));
-        emit("", cat("brb   ", doneL));
-        emit(longL + ":", cat("pushl #", isAnd ? 1 : 0));
+        emit("", text("pushl #", isAnd ? 0 : 1));
+        emit("", text("brb   ", doneL));
+        emit(longL + ":", text("pushl #", isAnd ? 1 : 0));
         emitLabel(doneL);
     }
 
@@ -432,39 +405,12 @@ class VaxGen
                       "'"));
         for (const auto &a : e.args)
             emitExpr(*a);
-        emit("", cat("calls #", e.args.size(), ", f_", e.name));
+        emit("", text("calls #", e.args.size(), ", f_", e.name));
         emit("", "pushl r0", "result");
-    }
-
-    void
-    emitData()
-    {
-        emit("", ".align 4");
-        bool first = true;
-        for (const auto &entry : layout_.entries) {
-            const std::string label = first ? cat(kDataLabel, ":") : "";
-            first = false;
-            if (entry.isArray) {
-                emit(label, cat(".space ", 4 * entry.words),
-                     cat(entry.name, "[", entry.words, "]"));
-            } else {
-                const int g = prog_.findGlobal(entry.name);
-                const std::uint32_t init =
-                    prog_.globals[static_cast<std::size_t>(g)].init;
-                emit(label, cat(".word ",
-                                static_cast<std::int32_t>(init)),
-                     entry.name);
-            }
-        }
-        emit(first ? cat(kDataLabel, ":") : "", ".word 0",
-             "out() count");
-        emit("", cat(".space ", 4 * kOutCap), "out() buffer");
     }
 
     const Program &prog_;
     DataLayout layout_;
-    std::ostringstream os_;
-    int labelN_ = 0;
     std::unordered_map<std::string, int> regOf_;
 };
 
