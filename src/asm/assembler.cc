@@ -1,6 +1,7 @@
 #include "asm/assembler.hh"
 
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "asm/twopass.hh"
@@ -14,7 +15,7 @@ namespace {
 
 /** Pseudo-branch table: b<cond> label -> jmpr cond, label. */
 std::optional<Cond>
-branchPseudo(const std::string &mnemonic)
+branchPseudo(std::string_view mnemonic)
 {
     if (mnemonic == "bra")
         return Cond::Alw;
@@ -31,7 +32,7 @@ struct AluMatch
 };
 
 std::optional<AluMatch>
-aluMnemonic(const std::string &mnemonic)
+aluMnemonic(std::string_view mnemonic)
 {
     if (auto op = opcodeFromMnemonic(mnemonic)) {
         if (opcodeInfo(*op)->cls == InstClass::Alu &&
@@ -40,8 +41,8 @@ aluMnemonic(const std::string &mnemonic)
         return std::nullopt;
     }
     if (mnemonic.size() > 1 && mnemonic.back() == 's') {
-        const std::string base = mnemonic.substr(0, mnemonic.size() - 1);
-        if (auto op = opcodeFromMnemonic(base)) {
+        mnemonic.remove_suffix(1);
+        if (auto op = opcodeFromMnemonic(mnemonic)) {
             if (opcodeInfo(*op)->cls == InstClass::Alu &&
                 *op != Opcode::Ldhi)
                 return AluMatch{*op, true};
@@ -141,13 +142,9 @@ class RiscSyntax
     {
         // For multi-word pseudos the later words' '.' would shift;
         // expansion uses stmt.address for all of them.
-        const auto insts = expand(stmt);
-        for (const auto &inst : insts) {
-            const std::uint32_t w = inst.encode();
-            for (unsigned i = 0; i < 4; ++i)
-                out.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
-        }
-        return static_cast<unsigned>(insts.size());
+        const std::size_t start = out.size();
+        expand(stmt, out);
+        return static_cast<unsigned>((out.size() - start) / 4);
     }
 
   private:
@@ -259,11 +256,10 @@ class RiscSyntax
                 stmt.operands[1].kind == OperandKind::Reg)
                 return 1;
             if (stmt.operands.size() == 2 &&
-                stmt.operands[1].kind == OperandKind::Expr &&
-                stmt.operands[1].expr.resolvable(symbols_)) {
-                const std::int64_t v =
-                    stmt.operands[1].expr.eval(symbols_, stmt.address);
-                if (fitsSigned(v, 13))
+                stmt.operands[1].kind == OperandKind::Expr) {
+                const auto v =
+                    stmt.operands[1].expr.tryEval(symbols_, stmt.address);
+                if (v && fitsSigned(*v, 13))
                     return 1;
             }
             return 2;
@@ -271,12 +267,20 @@ class RiscSyntax
         return 1;
     }
 
-    /** Expand one instruction statement to machine instructions. */
-    std::vector<Instruction>
-    expand(const Stmt &stmt)
+    /** Append @p inst's machine word to @p out. */
+    static void
+    put(std::vector<std::uint8_t> &out, const Instruction &inst)
+    {
+        const std::uint32_t w = inst.encode();
+        for (unsigned i = 0; i < 4; ++i)
+            out.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
+    }
+
+    /** Expand one instruction statement, appending its machine words. */
+    void
+    expand(const Stmt &stmt, std::vector<std::uint8_t> &out)
     {
         const std::string &m = stmt.mnemonic;
-        std::vector<Instruction> out;
         auto countIs = [&](std::size_t n) {
             if (stmt.operands.size() != n)
                 asmError(stmt, cat("'", m, "' takes ", n, " operand(s), got ",
@@ -292,26 +296,26 @@ class RiscSyntax
             inst.rd = static_cast<std::uint8_t>(wantReg(stmt, 0));
             inst.rs1 = static_cast<std::uint8_t>(wantReg(stmt, 1));
             applyS2(stmt, inst, stmt.operands[2]);
-            out.push_back(inst);
-            return out;
+            put(out, inst);
+            return;
         }
 
         // ---- Pseudo-instructions ----
         if (m == "nop") {
             countIs(0);
-            out.push_back(Instruction::nop());
-            return out;
+            put(out, Instruction::nop());
+            return;
         }
         if (m == "halt") {
             countIs(0);
-            out.push_back(Instruction::jmpr(Cond::Alw, 0));
-            return out;
+            put(out, Instruction::jmpr(Cond::Alw, 0));
+            return;
         }
         if (m == "clr") {
             countIs(1);
-            out.push_back(Instruction::aluImm(Opcode::Add,
-                                              wantReg(stmt, 0), 0, 0));
-            return out;
+            put(out,
+                Instruction::aluImm(Opcode::Add, wantReg(stmt, 0), 0, 0));
+            return;
         }
         if (m == "inc" || m == "dec") {
             const unsigned rd = wantReg(stmt, 0);
@@ -320,10 +324,10 @@ class RiscSyntax
                 amount = evalExpr(stmt, stmt.operands[1].expr);
             else if (stmt.operands.size() != 1)
                 asmError(stmt, cat("'", m, "' takes 1 or 2 operands"));
-            out.push_back(Instruction::aluImm(
+            put(out, Instruction::aluImm(
                 m == "inc" ? Opcode::Add : Opcode::Sub, rd, rd,
                 checkImm13(stmt, amount)));
-            return out;
+            return;
         }
         if (m == "cmp") {
             countIs(2);
@@ -333,28 +337,28 @@ class RiscSyntax
             inst.rd = 0;
             inst.rs1 = static_cast<std::uint8_t>(wantReg(stmt, 0));
             applyS2(stmt, inst, stmt.operands[1]);
-            out.push_back(inst);
-            return out;
+            put(out, inst);
+            return;
         }
         if (m == "not") {
             countIs(2);
-            out.push_back(Instruction::aluImm(
+            put(out, Instruction::aluImm(
                 Opcode::Xor, wantReg(stmt, 0), wantReg(stmt, 1), -1));
-            return out;
+            return;
         }
         if (m == "neg") {
             countIs(2);
-            out.push_back(Instruction::aluImm(
+            put(out, Instruction::aluImm(
                 Opcode::Subr, wantReg(stmt, 0), wantReg(stmt, 1), 0));
-            return out;
+            return;
         }
         if (m == "ldi" || m == "mov") {
             countIs(2);
             const unsigned rd = wantReg(stmt, 0);
             if (stmt.operands[1].kind == OperandKind::Reg) {
-                out.push_back(Instruction::aluImm(
+                put(out, Instruction::aluImm(
                     Opcode::Add, rd, stmt.operands[1].reg, 0));
-                return out;
+                return;
             }
             if (stmt.operands[1].kind != OperandKind::Expr)
                 asmError(stmt, "second operand of ldi/mov must be a register "
@@ -362,15 +366,15 @@ class RiscSyntax
             const std::int64_t value =
                 evalExpr(stmt, stmt.operands[1].expr);
             if (stmt.size == 4) {
-                out.push_back(Instruction::aluImm(
+                put(out, Instruction::aluImm(
                     Opcode::Add, rd, 0, checkImm13(stmt, value)));
             } else {
                 const SplitImm split = splitImmediate(value);
-                out.push_back(Instruction::ldhi(rd, split.hi19));
-                out.push_back(Instruction::aluImm(Opcode::Add, rd, rd,
-                                                  split.lo13));
+                put(out, Instruction::ldhi(rd, split.hi19));
+                put(out, Instruction::aluImm(Opcode::Add, rd, rd,
+                                             split.lo13));
             }
-            return out;
+            return;
         }
         if (auto cond = branchPseudo(m)) {
             countIs(1);
@@ -378,9 +382,9 @@ class RiscSyntax
                 asmError(stmt, "branch target must be an expression");
             const std::int64_t target =
                 evalExpr(stmt, stmt.operands[0].expr);
-            out.push_back(Instruction::jmpr(
+            put(out, Instruction::jmpr(
                 *cond, checkImm19(stmt, target - stmt.address)));
-            return out;
+            return;
         }
 
         // ---- Real opcodes ----
@@ -390,8 +394,8 @@ class RiscSyntax
                 wantReg(stmt, 0),
                 checkImm19(stmt, evalExpr(stmt, stmt.operands[1].expr)));
             inst.scc = true;
-            out.push_back(inst);
-            return out;
+            put(out, inst);
+            return;
         }
         const auto opOpt = opcodeFromMnemonic(m);
         if (!opOpt)
@@ -486,8 +490,7 @@ class RiscSyntax
             asmError(stmt, cat("mnemonic '", m, "' (", info->mnemonic,
                                ") needs ALU operand form"));
         }
-        out.push_back(inst);
-        return out;
+        put(out, inst);
     }
 
     const SymbolTable &symbols_;

@@ -19,32 +19,40 @@ Expr::constant(std::int64_t value)
 bool
 Expr::resolvable(const std::map<std::string, std::uint32_t> &symbols) const
 {
-    for (const auto &t : terms)
-        if (t.isSymbol && !symbols.contains(t.symbol))
-            return false;
-    return true;
+    return tryEval(symbols, 0).has_value();
 }
 
-std::int64_t
-Expr::eval(const std::map<std::string, std::uint32_t> &symbols,
-           std::uint32_t dot) const
+std::optional<std::int64_t>
+Expr::tryEval(const std::map<std::string, std::uint32_t> &symbols,
+              std::uint32_t dot) const
 {
     std::int64_t value = 0;
     for (const auto &t : terms) {
-        std::int64_t term;
+        std::int64_t term = t.number;
         if (t.isDot) {
             term = dot;
         } else if (t.isSymbol) {
             const auto it = symbols.find(t.symbol);
             if (it == symbols.end())
-                fatal(cat("undefined symbol '", t.symbol, "'"));
+                return std::nullopt;
             term = it->second;
-        } else {
-            term = t.number;
         }
         value += t.sign * term;
     }
     return value;
+}
+
+std::int64_t
+Expr::eval(const std::map<std::string, std::uint32_t> &symbols,
+           std::uint32_t dot, int line) const
+{
+    if (const auto value = tryEval(symbols, dot))
+        return *value;
+    for (const auto &t : terms)
+        if (t.isSymbol && !symbols.contains(t.symbol))
+            fatal(cat(line > 0 ? cat("line ", line, ": ") : "",
+                      "undefined symbol '", t.symbol, "'"));
+    panic("expression neither resolves nor names an undefined symbol");
 }
 
 std::optional<std::string>
@@ -55,7 +63,7 @@ Expr::asBareSymbol() const
     return std::nullopt;
 }
 
-Token
+const Token &
 TokenCursor::expect(TokKind kind, const char *what)
 {
     if (peek().kind != kind)
@@ -151,7 +159,7 @@ unsigned
 parseParenReg(TokenCursor &cur, RegName regName)
 {
     cur.expect(TokKind::LParen, "'('");
-    const Token regTok = cur.expect(TokKind::Ident, "register");
+    const Token &regTok = cur.expect(TokKind::Ident, "register");
     const auto reg = regName(regTok.text);
     if (!reg)
         fatal(cat("line ", regTok.line, ": '", regTok.text,

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "asm/lexer.hh"
+#include "common/small_vec.hh"
 
 namespace risc1 {
 
@@ -34,7 +35,8 @@ struct Expr
         std::string symbol;
     };
 
-    std::vector<Term> terms;
+    /** Nearly every expression is one or two terms: no allocation. */
+    SmallVec<Term, 2> terms;
 
     /** Constant-expression convenience constructor. */
     static Expr constant(std::int64_t value);
@@ -44,11 +46,20 @@ struct Expr
         const std::map<std::string, std::uint32_t> &symbols) const;
 
     /**
+     * The value with @p dot as the value of '.', or nullopt when a
+     * symbol is undefined.
+     */
+    std::optional<std::int64_t>
+    tryEval(const std::map<std::string, std::uint32_t> &symbols,
+            std::uint32_t dot) const;
+
+    /**
      * Evaluate with @p dot as the value of '.'.
-     * @throws FatalError on an undefined symbol.
+     * @throws FatalError on an undefined symbol, prefixed with
+     *         "line <line>: " when @p line is given.
      */
     std::int64_t eval(const std::map<std::string, std::uint32_t> &symbols,
-                      std::uint32_t dot) const;
+                      std::uint32_t dot, int line = 0) const;
 
     /** True for an expression that is a single bare symbol. */
     std::optional<std::string> asBareSymbol() const;
@@ -76,7 +87,7 @@ class TokenCursor
     }
 
     /** Consume a token of @p kind or fail with a message. */
-    Token expect(TokKind kind, const char *what);
+    const Token &expect(TokKind kind, const char *what);
 
     /** Consume if the next token is of @p kind. */
     bool accept(TokKind kind);

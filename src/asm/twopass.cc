@@ -11,6 +11,8 @@ namespace {
 Directive
 directiveOf(std::string_view m)
 {
+    if (m[0] != '.')
+        return Directive::Isa;
     static constexpr std::pair<std::string_view, Directive> table[] = {
         {".org", Directive::Org},     {".equ", Directive::Equ},
         {".entry", Directive::Entry}, {".word", Directive::Word},
@@ -50,10 +52,7 @@ unknownMnemonic(const StmtHead &stmt)
 std::int64_t
 evalAt(const SymbolTable &symbols, const StmtHead &stmt, const Expr &e)
 {
-    for (const auto &t : e.terms)
-        if (t.isSymbol && !symbols.contains(t.symbol))
-            asmError(stmt, cat("undefined symbol '", t.symbol, "'"));
-    return e.eval(symbols, stmt.address);
+    return e.eval(symbols, stmt.address, stmt.line);
 }
 
 void
@@ -105,16 +104,17 @@ AsmCore::define(const StmtHead &stmt, const std::string &name,
 std::uint32_t
 AsmCore::knownU32(const StmtHead &stmt)
 {
-    if (stmt.args.size() != 1 || stmt.args[0].isStr ||
-        !stmt.args[0].expr.resolvable(symbols))
+    const auto v = stmt.args.size() == 1 && !stmt.args[0].isStr
+                       ? stmt.args[0].expr.tryEval(symbols, stmt.address)
+                       : std::nullopt;
+    if (!v)
         asmError(stmt, cat(stmt.mnemonic,
                            " needs one expression of symbols defined "
                            "above it"));
-    const std::int64_t v = stmt.args[0].expr.eval(symbols, stmt.address);
-    if (v < 0 || v > std::numeric_limits<std::uint32_t>::max())
-        asmError(stmt, cat(stmt.mnemonic, " value ", v,
+    if (*v < 0 || *v > std::numeric_limits<std::uint32_t>::max())
+        asmError(stmt, cat(stmt.mnemonic, " value ", *v,
                            " is not a non-negative 32-bit value"));
-    return static_cast<std::uint32_t>(v);
+    return static_cast<std::uint32_t>(*v);
 }
 
 std::int64_t
@@ -154,11 +154,13 @@ AsmCore::place(StmtHead &stmt, std::uint32_t addr)
                               : stmt.args[0].expr.asBareSymbol();
         if (!name)
             asmError(stmt, ".equ first operand must be a name");
-        if (stmt.args[1].isStr || !stmt.args[1].expr.resolvable(symbols))
+        const auto value =
+            stmt.args[1].isStr
+                ? std::nullopt
+                : stmt.args[1].expr.tryEval(symbols, stmt.address);
+        if (!value)
             asmError(stmt, ".equ expression must be resolvable");
-        define(stmt, *name,
-               static_cast<std::uint32_t>(
-                   stmt.args[1].expr.eval(symbols, stmt.address)));
+        define(stmt, *name, static_cast<std::uint32_t>(*value));
         break;
       }
       case Directive::Word:

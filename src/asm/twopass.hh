@@ -39,6 +39,7 @@
 #ifndef RISC1_ASM_TWOPASS_HH
 #define RISC1_ASM_TWOPASS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -49,6 +50,7 @@
 #include "asm/parser.hh"
 #include "common/logging.hh"
 #include "common/program.hh"
+#include "common/small_vec.hh"
 
 namespace risc1 {
 
@@ -99,7 +101,8 @@ struct StmtHead
 template <typename Op>
 struct AsmStmt : StmtHead
 {
-    std::vector<Op> operands;
+    /** No instruction of either ISA takes more than three. */
+    SmallVec<Op, 3> operands;
 };
 
 /** Fail with @p stmt's line number. */
@@ -178,10 +181,14 @@ std::vector<AsmStmt<typename Syntax::Operand>>
 parseStatements(const std::string &source)
 {
     TokenCursor cur(lex(source));
+    // At most one statement a line, plus the labels at end of file.
     std::vector<AsmStmt<typename Syntax::Operand>> stmts;
+    stmts.reserve(static_cast<std::size_t>(
+                      std::count(source.begin(), source.end(), '\n')) +
+                  2);
     std::vector<std::string> labels;
     while (cur.skipNewlines()) {
-        const Token tok = cur.expect(TokKind::Ident, "label or mnemonic");
+        const Token &tok = cur.expect(TokKind::Ident, "label or mnemonic");
         if (cur.accept(TokKind::Colon)) {
             labels.push_back(tok.text);
             continue;

@@ -4,6 +4,7 @@
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
+#include "common/name_index.hh"
 
 namespace risc1 {
 
@@ -26,6 +27,9 @@ constexpr auto opcodeByValue = [] {
     return t;
 }();
 
+/** Lookup by mnemonic. */
+constexpr NameIndex opcodeByMnemonic(opcodeTable, &OpcodeInfo::mnemonic);
+
 } // namespace
 
 const OpcodeInfo *
@@ -37,10 +41,10 @@ opcodeInfo(Opcode op)
 std::optional<Opcode>
 opcodeFromMnemonic(std::string_view mnemonic)
 {
-    for (const auto &info : opcodeTable)
-        if (info.mnemonic == mnemonic)
-            return info.op;
-    return std::nullopt;
+    const int row = opcodeByMnemonic.find(mnemonic);
+    if (row < 0)
+        return std::nullopt;
+    return opcodeTable[row].op;
 }
 
 const OpcodeInfo *

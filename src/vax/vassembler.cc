@@ -235,12 +235,9 @@ class VaxSyntax
           case VShape::Imm:
             if (branch)
                 asmError(stmt, "immediate used as branch target");
-            if (op.expr.resolvable(symbols_)) {
-                const std::int64_t v = op.expr.eval(symbols_,
-                                                    stmt.address);
-                if (v >= 0 && v <= 63)
+            if (const auto v = op.expr.tryEval(symbols_, stmt.address))
+                if (*v >= 0 && *v <= 63)
                     return VEnc::ShortLit;
-            }
             return VEnc::Imm32;
           case VShape::Reg:
             if (branch)
@@ -253,12 +250,10 @@ class VaxSyntax
           case VShape::AutoDec:
             return VEnc::AutoDec;
           case VShape::Disp:
-            if (op.expr.resolvable(symbols_)) {
-                const std::int64_t v = op.expr.eval(symbols_,
-                                                    stmt.address);
-                if (fitsSigned(v, 8))
+            if (const auto v = op.expr.tryEval(symbols_, stmt.address)) {
+                if (fitsSigned(*v, 8))
                     return VEnc::Disp8;
-                if (fitsSigned(v, 16))
+                if (fitsSigned(*v, 16))
                     return VEnc::Disp16;
             }
             return VEnc::Disp32;

@@ -3,6 +3,7 @@
 #include <array>
 
 #include "common/logging.hh"
+#include "common/name_index.hh"
 
 namespace risc1 {
 
@@ -35,6 +36,9 @@ constexpr auto byByte = [] {
     return t;
 }();
 
+/** Lookup by mnemonic. */
+constexpr NameIndex byMnemonic(table, &VaxOpInfo::mnemonic);
+
 } // namespace
 
 const VaxOpInfo *
@@ -46,10 +50,10 @@ vaxOpcodeInfo(VaxOpcode op)
 std::optional<VaxOpcode>
 vaxOpcodeFromMnemonic(std::string_view mnemonic)
 {
-    for (const auto &info : table)
-        if (info.mnemonic == mnemonic)
-            return info.op;
-    return std::nullopt;
+    const int row = byMnemonic.find(mnemonic);
+    if (row < 0)
+        return std::nullopt;
+    return table[row].op;
 }
 
 const VaxOpInfo *
