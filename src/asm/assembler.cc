@@ -499,9 +499,9 @@ class RiscSyntax
 } // namespace
 
 Program
-assembleRisc(const std::string &source)
+assembleRisc(const std::string &source, std::uint64_t memoryBytes)
 {
-    return assembleWith<RiscSyntax>(source);
+    return assembleWith<RiscSyntax>(source, memoryBytes);
 }
 
 } // namespace risc1

@@ -30,6 +30,7 @@
 #ifndef RISC1_ASM_ASSEMBLER_HH
 #define RISC1_ASM_ASSEMBLER_HH
 
+#include <cstdint>
 #include <string>
 
 #include "common/program.hh"
@@ -37,10 +38,13 @@
 namespace risc1 {
 
 /**
- * Assemble RISC I source text into a program image.
+ * Assemble RISC I source text into a program image that ends within
+ * the first @p memoryBytes bytes (by default, the 32-bit address
+ * space).
  * @throws FatalError with line information on any error.
  */
-Program assembleRisc(const std::string &source);
+Program assembleRisc(const std::string &source,
+                     std::uint64_t memoryBytes = std::uint64_t{1} << 32);
 
 } // namespace risc1
 

@@ -213,10 +213,15 @@ parseStatements(const std::string &source)
     return stmts;
 }
 
-/** Assemble @p source with the ISA @p Syntax. */
+/**
+ * Assemble @p source with the ISA @p Syntax into an image that ends
+ * within the first @p memoryBytes bytes.  Pass 1 checks every
+ * statement's end, so an image too large for its memory fails with a
+ * line number before pass 2 allocates any of it.
+ */
 template <typename Syntax>
 Program
-assembleWith(const std::string &source)
+assembleWith(const std::string &source, std::uint64_t memoryBytes)
 {
     auto stmts = parseStatements<Syntax>(source);
     AsmCore core(Syntax::align, Syntax::regName);
@@ -225,6 +230,7 @@ assembleWith(const std::string &source)
     // The location counter is 64-bit, so a program that runs past
     // 0xffffffff fails instead of wrapping to 0.
     constexpr std::uint64_t top = std::uint64_t{1} << 32;
+    const std::uint64_t limit = std::min(top, memoryBytes);
     std::uint64_t addr = kDefaultOrg;
     for (auto &stmt : stmts) {
         if (addr == top && stmt.directive != Directive::Org)
@@ -233,8 +239,9 @@ assembleWith(const std::string &source)
         if (stmt.directive == Directive::Isa)
             stmt.size = isa.size(stmt);
         addr = std::uint64_t{stmt.address} + stmt.size;
-        if (addr > top)
-            asmError(stmt, "statement ends past 0xffffffff");
+        if (stmt.size != 0 && addr > limit)
+            asmError(stmt, cat("statement ends past 0x", std::hex,
+                               limit - 1));
     }
 
     std::uint64_t instructions = 0;

@@ -43,7 +43,12 @@ struct RiscBackend
     static constexpr unsigned checksumReg = 1;
     static constexpr unsigned numRegs = 32;
 
-    static Program assemble(const std::string &s) { return assembleRisc(s); }
+    static Program
+    assemble(const std::string &s,
+             std::uint64_t memoryBytes = std::uint64_t{1} << 32)
+    {
+        return assembleRisc(s, memoryBytes);
+    }
     static const std::string &
     workloadSource(const Workload &w)
     {
@@ -64,7 +69,12 @@ struct VaxBackend
     static constexpr unsigned checksumReg = 0;
     static constexpr unsigned numRegs = vaxNumRegs;
 
-    static Program assemble(const std::string &s) { return assembleVax(s); }
+    static Program
+    assemble(const std::string &s,
+             std::uint64_t memoryBytes = std::uint64_t{1} << 32)
+    {
+        return assembleVax(s, memoryBytes);
+    }
     static const std::string &
     workloadSource(const Workload &w)
     {
@@ -128,10 +138,11 @@ class MachineTarget final : public Target
 
     std::string_view name() const override { return B::name; }
 
+    /** An image that would not fit in memory fails in pass 1. */
     void
     load(const std::string &source) override
     {
-        loadProgram(B::assemble(source));
+        loadProgram(B::assemble(source, machine_.memory().size()));
     }
 
     void

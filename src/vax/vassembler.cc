@@ -363,9 +363,9 @@ class VaxSyntax
 } // namespace
 
 Program
-assembleVax(const std::string &source)
+assembleVax(const std::string &source, std::uint64_t memoryBytes)
 {
-    return assembleWith<VaxSyntax>(source);
+    return assembleWith<VaxSyntax>(source, memoryBytes);
 }
 
 } // namespace risc1

@@ -30,6 +30,7 @@
 #ifndef RISC1_VAX_VASSEMBLER_HH
 #define RISC1_VAX_VASSEMBLER_HH
 
+#include <cstdint>
 #include <string>
 
 #include "common/program.hh"
@@ -37,10 +38,13 @@
 namespace risc1 {
 
 /**
- * Assemble baseline (CISC) source into a program image.
+ * Assemble baseline (CISC) source into a program image that ends
+ * within the first @p memoryBytes bytes (by default, the 32-bit
+ * address space).
  * @throws FatalError with line information on any error.
  */
-Program assembleVax(const std::string &source);
+Program assembleVax(const std::string &source,
+                    std::uint64_t memoryBytes = std::uint64_t{1} << 32);
 
 } // namespace risc1
 

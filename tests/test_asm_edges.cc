@@ -114,10 +114,24 @@ class SharedDirectiveRules : public ::testing::TestWithParam<const char *>
 {
   protected:
     Program
-    assemble(const std::string &source) const
+    assemble(const std::string &source,
+             std::uint64_t memoryBytes = std::uint64_t{1} << 32) const
     {
-        return std::string(GetParam()) == "risc" ? assembleRisc(source)
-                                                 : assembleVax(source);
+        return std::string(GetParam()) == "risc"
+                   ? assembleRisc(source, memoryBytes)
+                   : assembleVax(source, memoryBytes);
+    }
+
+    /** The FatalError message assembling @p source raises. */
+    std::string
+    errorOf(const std::string &source, std::uint64_t memoryBytes) const
+    {
+        try {
+            assemble(source, memoryBytes);
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "(assembled)";
     }
 };
 
@@ -173,6 +187,23 @@ TEST_P(SharedDirectiveRules, LocationCounterPast32BitsFails)
     EXPECT_EQ(atTop.segments.at(0).bytes.size(), 8u);
     EXPECT_NO_THROW(assemble(".org 0xfffffffc\n.word 1\n.org 0x2000\n"
                              "start: halt\n"));
+}
+
+TEST_P(SharedDirectiveRules, ImageEndsWithinTheGivenMemory)
+{
+    // A target passes its memory size: the statement that crosses it
+    // fails in pass 1, before any of its bytes are allocated.
+    EXPECT_EQ(errorOf(".org 0\nstart: halt\n.space 0xfffffff0\n", 0x10000),
+              "line 3: statement ends past 0xffff");
+    EXPECT_EQ(errorOf(".org 0xfffc\nstart: .word 1, 2\n", 0x10000),
+              "line 2: statement ends past 0xffff");
+    // Ending at the last byte is allowed; a label after it emits nothing.
+    EXPECT_NO_THROW(
+        assemble(".org 0xfff8\nstart: .word 1, 2\nend:\n", 0x10000));
+    // The default bound is the 32-bit address space.
+    EXPECT_EQ(errorOf(".org 0xfffffff8\nstart: .word 1\n.space 8\n",
+                      std::uint64_t{1} << 32),
+              "line 3: statement ends past 0xffffffff");
 }
 
 INSTANTIATE_TEST_SUITE_P(BothIsas, SharedDirectiveRules,

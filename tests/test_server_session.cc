@@ -200,6 +200,53 @@ TEST(ServerSession, NegativeSpaceInClientSourceIsRefused)
     cleanupSpool(cfg);
 }
 
+TEST(ServerSession, ImagePastMemoryIsRefusedBeforeAllocating)
+{
+    // `.space 0xfffffff0` after `.org 0` ends inside the 32-bit address
+    // space, so the assembler once allocated all 4 GiB of it before the
+    // loader refused the image.  Pass 1 now checks each statement's end
+    // against the session's memory (256 KiB by default) and names the
+    // line.
+    const auto cfg = testConfig("bigspace");
+    {
+        Service service(cfg);
+        Driver d(service);
+        for (const char *backend : {"risc", "vax"}) {
+            SCOPED_TRACE(backend);
+            const std::string create =
+                std::string("{\"cmd\":\"create\",\"backend\":\"") +
+                backend + "\",\"source\":\"";
+            const std::pair<const char *, const char *> cases[] = {
+                {".org 0\\nstart: halt\\n.space 0xfffffff0\\n",
+                 "line 3: statement ends past 0x3ffff"},
+                {"start: halt\\n.space 0xfffffff0\\n",
+                 "line 2: statement ends past 0x3ffff"},
+                {"start: halt\\n.space 0x1000000\\n",
+                 "line 2: statement ends past 0x3ffff"},
+            };
+            for (const auto &[source, want] : cases) {
+                const std::string error = d.err(create + source + "\"}");
+                EXPECT_NE(error.find(want), std::string::npos) << error;
+            }
+            // A smaller session's bound is its own memory size.
+            const std::string error = d.err(
+                create + "start: halt\\n.space 0x10000\\n\",\"mem\":65536}");
+            EXPECT_NE(error.find("line 2: statement ends past 0xffff"),
+                      std::string::npos)
+                << error;
+            EXPECT_EQ(service.sessions().counts().sessions, 0u);
+            d.ok("{\"cmd\":\"ping\"}");
+        }
+        // An image that ends exactly at the last byte still loads.
+        d.ok("{\"cmd\":\"create\",\"backend\":\"risc\",\"mem\":65536,"
+             "\"source\":\".org 0xfffc\\nstart: halt\\n\"}");
+        d.ok("{\"cmd\":\"create\",\"backend\":\"vax\",\"mem\":65536,"
+             "\"source\":\".org 0xffff\\nstart: halt\\n\"}");
+        EXPECT_EQ(service.sessions().counts().sessions, 2u);
+    }
+    cleanupSpool(cfg);
+}
+
 TEST(ServerSession, StepPeekRegsStats)
 {
     const auto cfg = testConfig("sprs");
