@@ -87,13 +87,31 @@ run_stages "$BUILD"
 # backends x both tiers against the reference interpreter, fanned out
 # on the engine.  The wall-clock budget keeps a pathological seed from
 # hanging CI; riscdiff exits non-zero on any divergence and drops a
-# minimized repro into bench/out/ (uploaded as a CI artifact).
+# minimized repro into bench/out/ (uploaded as a CI artifact).  The
+# step also fails unless all 200 seeds ran and the reference
+# observations fold to the pinned digest: a change to the generated
+# programs or to what they compute fails here even when every backend
+# still agrees with the interpreter.
+RISCDIFF_DIGEST=0x30ea9d1
 run_riscdiff() {
     dir="$1"
     echo
     echo "== lang differential: riscdiff --seeds 200 ($dir) =="
-    (cd "$dir" && ./examples/riscdiff --seeds 200 \
-        --time-budget-ms 300000 --repro-dir bench/out)
+    if ! out=$(cd "$dir" && ./examples/riscdiff --seeds 200 \
+        --time-budget-ms 300000 --repro-dir bench/out); then
+        echo "$out"
+        exit 1
+    fi
+    echo "$out"
+    summary=$(echo "$out" | grep "^riscdiff: ")
+    case "$summary" in
+    "riscdiff: 200/200 seeds,"*", digest $RISCDIFF_DIGEST") ;;
+    *)
+        echo "riscdiff: expected 200/200 seeds and digest" \
+             "$RISCDIFF_DIGEST" >&2
+        exit 1
+        ;;
+    esac
 }
 
 run_riscdiff "$BUILD"
