@@ -14,22 +14,27 @@ namespace risc1 {
 
 namespace {
 
-/** Register-name lookup (r0..r11, ap, fp, sp, pc). */
+/** Register-name lookup (r0..r11, ap, fp, sp, pc), in any case. */
 std::optional<unsigned>
 vaxRegName(const std::string &text)
 {
-    std::string name = text;
-    for (auto &c : name)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (name == "ap")
-        return vaxAp;
-    if (name == "fp")
-        return vaxFp;
-    if (name == "sp")
-        return vaxSp;
-    if (name == "pc")
-        return vaxPc;
-    if (auto r = parseRegName(name))
+    if (text.size() == 2) {
+        auto is = [&](const char *name) {
+            return std::tolower(static_cast<unsigned char>(text[0])) ==
+                       name[0] &&
+                   std::tolower(static_cast<unsigned char>(text[1])) ==
+                       name[1];
+        };
+        if (is("ap"))
+            return vaxAp;
+        if (is("fp"))
+            return vaxFp;
+        if (is("sp"))
+            return vaxSp;
+        if (is("pc"))
+            return vaxPc;
+    }
+    if (auto r = parseRegName(text))
         return *r <= 15 ? r : std::nullopt;
     return std::nullopt;
 }
