@@ -16,12 +16,6 @@ Expr::constant(std::int64_t value)
     return e;
 }
 
-bool
-Expr::resolvable(const std::map<std::string, std::uint32_t> &symbols) const
-{
-    return tryEval(symbols, 0).has_value();
-}
-
 std::optional<std::int64_t>
 Expr::tryEval(const std::map<std::string, std::uint32_t> &symbols,
               std::uint32_t dot) const

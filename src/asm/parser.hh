@@ -41,10 +41,6 @@ struct Expr
     /** Constant-expression convenience constructor. */
     static Expr constant(std::int64_t value);
 
-    /** True when every symbol term is defined in @p symbols. */
-    bool resolvable(
-        const std::map<std::string, std::uint32_t> &symbols) const;
-
     /**
      * The value with @p dot as the value of '.', or nullopt when a
      * symbol is undefined.

@@ -132,8 +132,8 @@ TEST(Expr, MixedSignsAndSymbols)
     const std::map<std::string, std::uint32_t> syms = {
         {"start", 0x1000}, {"end", 0x1040}};
     EXPECT_EQ(e.eval(syms, 0), 0x44);
-    EXPECT_TRUE(e.resolvable(syms));
-    EXPECT_FALSE(e.resolvable({}));
+    EXPECT_EQ(e.tryEval(syms, 0), std::optional<std::int64_t>(0x44));
+    EXPECT_FALSE(e.tryEval({}, 0).has_value());
 }
 
 TEST(Expr, DotIsCurrentAddress)
