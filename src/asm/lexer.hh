@@ -42,10 +42,11 @@ enum class TokKind : std::uint8_t
 /** One token with its source line for error reporting. */
 struct Token
 {
-    TokKind kind = TokKind::End;
+    // Largest first: 48 bytes, not 56.
     std::string text;
     std::int64_t value = 0;
     int line = 0;
+    TokKind kind = TokKind::End;
 };
 
 /**

@@ -35,8 +35,12 @@ struct Expr
         std::string symbol;
     };
 
-    /** Nearly every expression is one or two terms: no allocation. */
-    SmallVec<Term, 2> terms;
+    /**
+     * Most expressions are one term and cost no allocation; a second
+     * inline term would make every statement's operands a third
+     * larger, and all of a program's statements are live at once.
+     */
+    SmallVec<Term, 1> terms;
 
     /** Constant-expression convenience constructor. */
     static Expr constant(std::int64_t value);

@@ -88,13 +88,13 @@ struct DirArg
 /** The ISA-independent part of a statement. */
 struct StmtHead
 {
-    int line = 0;
     std::string mnemonic;             ///< lowercase
-    Directive directive = Directive::Isa;
     std::vector<std::string> labels;  ///< bound to this address
     std::vector<DirArg> args;         ///< a directive's operands
+    int line = 0;
     std::uint32_t address = 0;        ///< set in pass 1
     unsigned size = 0;                ///< bytes, set in pass 1
+    Directive directive = Directive::Isa;
 };
 
 /** A statement whose ISA-owned operands are of type @p Op. */

@@ -18,7 +18,8 @@ namespace risc1 {
 
 /**
  * Up to @p N elements live in an inline array; past that, all of them
- * move to a heap vector.  T must be default-constructible and movable.
+ * move to a heap vector, reserved for 2N elements.  T must be
+ * default-constructible and movable.
  */
 template <typename T, std::size_t N>
 class SmallVec
@@ -44,9 +45,11 @@ class SmallVec
             inline_[size_++] = std::move(value);
             return;
         }
-        if (size_ == N)
+        if (size_ == N) {
+            heap_.reserve(2 * N);
             heap_.assign(std::make_move_iterator(inline_.begin()),
                          std::make_move_iterator(inline_.end()));
+        }
         heap_.push_back(std::move(value));
         ++size_;
     }

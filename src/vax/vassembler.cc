@@ -95,9 +95,9 @@ enum class VShape : std::uint8_t
 
 struct VOperand
 {
-    VShape shape = VShape::Bare;
-    unsigned reg = 0;
     Expr expr;
+    unsigned reg = 0;
+    VShape shape = VShape::Bare;
     VEnc enc = VEnc::Reg;  ///< chosen in pass 1
 };
 
